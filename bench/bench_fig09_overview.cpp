@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
     bench::record_eval(reg, "fig09." + bench::slug(nc.name), r);
     t.row({nc.name, harness::Table::gteps(teps),
            harness::Table::fmt(teps / base, 2) + "x",
-           "+" + harness::Table::fmt((teps / prev - 1.0) * 100.0, 1) + "%"});
+           std::string("+")
+               .append(harness::Table::fmt((teps / prev - 1.0) * 100.0, 1))
+               .append("%")});
     prev = teps;
   }
   t.print(std::cout);

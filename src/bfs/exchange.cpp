@@ -175,7 +175,25 @@ void clear_out_bits_part(rt::Proc& p, const graph::DistGraph& dg,
   // exactly the partition's summary range.
   auto out_s = st.out_summary(part);
   const auto [sb, se] = summary_range(st, block_bits, part);
-  out_s.bits().clear_range(sb, se);
+  const faults::FaultInjector* inj = p.cluster->injector();
+  if (!st.shared_out() || inj == nullptr) {
+    out_s.bits().clear_range(sb, se);
+  } else {
+    // In a node map the live ranks are wiping their own word slices in
+    // this same phase (clear_out_bits), so the adopter clears only the
+    // part of the range inside dead ranks' slices: every word keeps one
+    // writer, and the map ends as if the whole range were cleared.
+    const std::uint64_t words = out_s.bits().words().size();
+    const auto ppn = static_cast<std::uint64_t>(p.ppn);
+    const int node = p.cluster->node_of(part);
+    for (int l = 0; l < p.ppn; ++l) {
+      if (!inj->dead(node * p.ppn + l)) continue;
+      const auto ul = static_cast<std::uint64_t>(l);
+      const std::uint64_t lo = std::max(sb, words * ul / ppn * 64);
+      const std::uint64_t hi = std::min(se, words * (ul + 1) / ppn * 64);
+      if (lo < hi) out_s.bits().clear_range(lo, hi);
+    }
+  }
   p.charge(phase, u.stream_pass_ns(block_words + (se - sb + 63) / 64));
 }
 

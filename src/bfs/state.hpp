@@ -2,7 +2,7 @@
 /// \file state.hpp
 /// Distributed BFS state: the queues/summaries of the paper's Fig. 1, with
 /// ownership resolved by the sharing level (Fig. 5). The driver allocates
-/// one `DistState` per run; rank threads obtain views through the accessors
+/// one `DistState` per run; ranks obtain views through the accessors
 /// below, which hand back the private copy or the node-shared segment as
 /// the configuration dictates.
 

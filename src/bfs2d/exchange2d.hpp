@@ -3,7 +3,7 @@
 /// The 2-D decomposition's communication legs behind the unified
 /// FrontierExchange interface (DESIGN.md §13). All traversal state lives in
 /// `State2d` — plain host-side vectors indexed by partition, visible to
-/// every rank thread (the simulated address spaces are private by
+/// every rank (the simulated address spaces are private by
 /// convention); barriers separate the write and read phases exactly like
 /// the 1-D exchanges.
 ///

@@ -43,26 +43,30 @@ bool Registry::has(const std::string& name) const {
 }
 
 std::string Registry::json() const {
+  // Built with append() rather than operator+ chains: GCC 12 at -O3 reports
+  // -Wrestrict false positives on the temporaries those chains create.
   std::string out = "{\"schema\":\"numabfs.metrics.v1\",\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":" + std::to_string(c.value);
+    out.append("\"").append(json_escape(name)).append("\":");
+    out.append(std::to_string(c.value));
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":" + fmt_double(g.value);
+    out.append("\"").append(json_escape(name)).append("\":");
+    out.append(fmt_double(g.value));
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":{\"bounds\":[";
+    out.append("\"").append(json_escape(name)).append("\":{\"bounds\":[");
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i != 0) out += ",";
       out += fmt_double(h.bounds()[i]);
@@ -72,8 +76,8 @@ std::string Registry::json() const {
       if (i != 0) out += ",";
       out += std::to_string(h.counts()[i]);
     }
-    out += "],\"count\":" + std::to_string(h.count());
-    out += ",\"sum\":" + fmt_double(h.sum()) + "}";
+    out.append("],\"count\":").append(std::to_string(h.count()));
+    out.append(",\"sum\":").append(fmt_double(h.sum())).append("}");
   }
   out += "}}\n";
   return out;

@@ -1,7 +1,7 @@
 #pragma once
 // Structured event tracing for the simulated cluster, stamped with *virtual*
 // time from sim::VClock. Tracks are per-rank (plus one host/driver track);
-// each simulated rank thread appends only to its own track, so no locking is
+// each simulated rank appends only to its own track, so no locking is
 // needed. The tracer never charges time to any clock: enabling or disabling
 // tracing must leave simulated results bit-identical.
 //

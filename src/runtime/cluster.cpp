@@ -1,10 +1,8 @@
 #include "runtime/cluster.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <exception>
 #include <stdexcept>
-#include <thread>
+
+#include "runtime/executor.hpp"
 
 namespace numabfs::rt {
 
@@ -94,24 +92,7 @@ void Cluster::run(const std::function<void(Proc&)>& fn) {
     p.tracer = tracer_.get();
   }
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nranks_));
-  for (int r = 0; r < nranks_; ++r) {
-    threads.emplace_back([&fn, &procs, r] {
-      try {
-        fn(procs[static_cast<size_t>(r)]);
-      } catch (const std::exception& e) {
-        // A dead rank would deadlock the group at the next barrier; fail
-        // loudly and immediately instead.
-        std::fprintf(stderr, "numabfs: rank %d threw: %s\n", r, e.what());
-        std::abort();
-      } catch (...) {
-        std::fprintf(stderr, "numabfs: rank %d threw unknown exception\n", r);
-        std::abort();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  exec::run(nranks_, [&fn, &procs](int r) { fn(procs[static_cast<size_t>(r)]); });
 
   profiles_.clear();
   profiles_.reserve(static_cast<size_t>(nranks_));

@@ -5,10 +5,23 @@
 /// `Cluster` fixes a topology, cost parameters and a process-per-node count
 /// (the paper's `ppn`), builds the standard communicators (world, per-node,
 /// leaders, per-local-index subgroups), and `run()` executes a rank function
-/// on one thread per simulated MPI process. Ranks are threads of this
-/// process; their address spaces are private *by convention* and
-/// node-shared structures are simply buffers every rank thread of a node
-/// can see — exactly the effect the paper achieves with `mmap`.
+/// once per simulated MPI process. Ranks are user-space fibers of this
+/// process, multiplexed on a persistent pool of worker threads (one per
+/// CPU; executor.hpp); their address spaces are private *by convention*
+/// and node-shared structures are simply buffers every rank of a node can
+/// see — exactly the effect the paper achieves with `mmap`.
+///
+/// The executor's contract for rank code:
+/// - A rank blocks only through runtime primitives (barriers, collectives,
+///   `PostOffice::recv`), never by spinning on another rank's memory: a
+///   spinning rank would hold its worker, and the ranks it waits for may be
+///   queued on that very worker.
+/// - A rank never parks inside a `catch` handler. libstdc++ keeps the stack
+///   of caught exceptions per host thread, and other ranks run on the same
+///   thread while one is parked.
+/// - Rank code uses no `thread_local`: a worker thread hosts many ranks,
+///   and one rank may run on different workers in different runs.
+/// - A rank holds no lock across a runtime primitive.
 
 #include <atomic>
 #include <functional>
@@ -58,7 +71,7 @@ struct Proc {
   /// Barrier on `c`, charging the wait (group max - own arrival) to `phase`.
   void barrier(Comm& c, sim::Phase phase) {
     const double before = clock.now_ns();
-    const double mx = c.barrier().sync(c.index_of(rank), clock);
+    const double mx = c.barrier().sync(clock);
     prof.add(phase, mx - before);
     if (tracer != nullptr && mx > before) {
       tracer->span(rank, obs::kCatTime, sim::to_string(phase), before, mx,
@@ -131,10 +144,13 @@ class Cluster {
   /// (the "colors" of the paper's Fig. 7).
   Comm& subgroup(int local) { return *subgroups_[static_cast<size_t>(local)]; }
 
-  /// Run `fn` SPMD on nranks() threads. Profiles/clocks are reset first and
-  /// collected into `profiles()` afterwards. Any exception escaping a rank
-  /// aborts the process (rank functions are noexcept by contract; letting
-  /// one rank die would deadlock the others at a barrier).
+  /// Run `fn` SPMD as nranks() fibers on the executor's worker pool; it
+  /// spawns no threads. Profiles/clocks are reset first and collected into
+  /// `profiles()` afterwards. Any exception escaping a rank aborts the
+  /// process, naming the rank (rank functions are noexcept by contract;
+  /// letting one rank die would deadlock the others at a barrier). If every
+  /// unfinished rank waits in a barrier that can never complete, the
+  /// process aborts with a diagnostic instead of hanging.
   void run(const std::function<void(Proc&)>& fn);
 
   const std::vector<sim::PhaseProfile>& profiles() const { return profiles_; }
@@ -154,8 +170,8 @@ class Cluster {
   std::vector<std::unique_ptr<Comm>> subgroups_;
   std::shared_ptr<faults::FaultInjector> injector_;
   std::shared_ptr<obs::Tracer> tracer_;
-  /// Set by retire_rank; tells the next run() to rebuild every barrier at
-  /// full membership (retirement is permanent on a std::barrier).
+  /// Set by retire_rank; tells the next run() to restore every barrier to
+  /// full membership (retirement lasts until rearmed).
   std::atomic<bool> barriers_dirty_{false};
 
   std::vector<sim::PhaseProfile> profiles_;

@@ -1,5 +1,8 @@
 #include "runtime/comm.hpp"
 
+#include <algorithm>
+#include <cassert>
+
 namespace numabfs::rt {
 
 Comm::Comm(std::vector<int> world_ranks)
@@ -7,12 +10,19 @@ Comm::Comm(std::vector<int> world_ranks)
       barrier_(std::make_unique<VBarrier>(static_cast<int>(members_.size()))),
       ptr_slots_(members_.size(), nullptr),
       val_slots_(members_.size(), 0),
-      chk_slots_(members_.size(), 0) {}
-
-int Comm::index_of(int world_rank) const {
+      chk_slots_(members_.size(), 0) {
+  const int top = members_.empty()
+                      ? -1
+                      : *std::max_element(members_.begin(), members_.end());
+  index_.assign(static_cast<size_t>(top + 1), -1);
   for (size_t i = 0; i < members_.size(); ++i)
-    if (members_[i] == world_rank) return static_cast<int>(i);
-  return -1;
+    index_[static_cast<size_t>(members_[i])] = static_cast<int>(i);
+}
+
+void Comm::retire(int world_rank) {
+  assert(index_of(world_rank) >= 0 && "retire: not a member of this comm");
+  (void)world_rank;
+  barrier_->retire();
 }
 
 }  // namespace numabfs::rt

@@ -3,61 +3,108 @@
 /// Communicators and virtual-time barriers.
 ///
 /// A `Comm` is an ordered group of world ranks (like an MPI communicator).
-/// Ranks of the simulated cluster are threads of this process, so a barrier
-/// both synchronizes the threads *and* aligns their virtual clocks to the
-/// group maximum — the difference is the load-imbalance "stall" the paper
-/// breaks out in Fig. 11. Comms also carry small publish/read slot arrays
-/// used by collectives to exchange pointers and scalar values.
+/// Ranks of the simulated cluster are fibers of this process (see
+/// executor.hpp), so a barrier both synchronizes them *and* aligns their
+/// virtual clocks to the group maximum — the difference is the
+/// load-imbalance "stall" the paper breaks out in Fig. 11. Comms also carry
+/// small publish/read slot arrays used by collectives to exchange pointers
+/// and scalar values.
 
-#include <barrier>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "numasim/vclock.hpp"
+#include "runtime/executor.hpp"
 
 namespace numabfs::rt {
 
-/// Reusable group barrier that aligns virtual clocks.
-class VBarrier {
+/// Reusable group barrier that aligns virtual clocks. One rendezvous per
+/// phase: members park on it, each worker adds up the arrivals of the
+/// members it hosts, and whoever publishes the last arrival completes the
+/// phase with the group max and releases the waiters, one batch per
+/// worker. A phase costs O(n) in total and takes the shared lock once per
+/// worker, not once per member.
+class VBarrier final : public Batched {
  public:
   explicit VBarrier(int n)
-      : slots_(static_cast<size_t>(n)), b1_(n), b2_(n) {}
+      : n_(n),
+        expected_(n),
+        slots_(static_cast<size_t>(exec::max_workers())) {}
 
-  /// Member `idx` arrives with clock `clk`; blocks until all members arrive;
-  /// returns the group's maximum virtual time and advances `clk` to it.
-  /// The caller decides which phase the (max - own) stall is charged to.
-  double sync(int idx, sim::VClock& clk) {
-    slots_[static_cast<size_t>(idx)] = clk.now_ns();
-    b1_.arrive_and_wait();
-    double mx = slots_[0];
-    for (double v : slots_) mx = v > mx ? v : mx;
-    clk.advance_to_ns(mx);
-    b2_.arrive_and_wait();  // nobody rewrites slots_ until all have read
-    return mx;
+  /// Arrive with clock `clk`; park until every member has arrived; return
+  /// the group's maximum virtual time and advance `clk` to it. The caller
+  /// decides which phase the (max - own) stall is charged to.
+  double sync(sim::VClock& clk) {
+    Slot& s = slots_[static_cast<size_t>(exec::worker())];
+    const double t = clk.now_ns();
+    if (s.arrived == 0 || t > s.max) s.max = t;
+    ++s.arrived;
+    s.waiters.push_back(exec::self());
+    if (!s.deferred) {
+      s.deferred = true;
+      exec::defer(this);
+    }
+    exec::park();
+    // The next phase cannot complete before this member arrives again.
+    clk.advance_to_ns(released_);
+    return released_;
   }
 
-  /// Plain thread rendezvous without clock alignment (setup phases).
-  void wait() {
-    b1_.arrive_and_wait();
-    b2_.arrive_and_wait();
+  /// Permanently remove one member (rank crash in chaos mode): lowers the
+  /// expected count of the current and every later phase, completing the
+  /// current one if the retiring member was the last one awaited. Must be
+  /// called by a member that is not inside a sync, which holds for crashes
+  /// at BFS level boundaries. A retired member no longer contributes to the
+  /// group maximum.
+  void retire() {
+    std::lock_guard<SpinLock> lk(mu_);
+    --expected_;
+    if (arrived_ > 0 && arrived_ == expected_) complete();
   }
 
-  /// Permanently remove member `idx` (rank crash in chaos mode): counts as
-  /// its arrival for the current phase and lowers the expected count for
-  /// all later phases, so the survivors keep synchronizing. Must be called
-  /// at a sync boundary (the member is not inside a sync), which holds for
-  /// crashes at BFS level boundaries. The member's slot is zeroed so it
-  /// stops contributing to the group maximum.
-  void retire(int idx) {
-    slots_[static_cast<size_t>(idx)] = 0.0;
-    b1_.arrive_and_drop();
-    b2_.arrive_and_drop();
+  /// Restore full membership (between runs, when no member is inside).
+  void rearm() {
+    std::lock_guard<SpinLock> lk(mu_);
+    expected_ = n_;
+  }
+
+  void flush(int w) override {
+    Slot& s = slots_[static_cast<size_t>(w)];
+    s.deferred = false;
+    std::lock_guard<SpinLock> lk(mu_);
+    if (arrived_ == 0 || s.max > max_) max_ = s.max;
+    arrived_ += s.arrived;
+    s.arrived = 0;
+    if (arrived_ == expected_) complete();
   }
 
  private:
-  std::vector<double> slots_;
-  std::barrier<> b1_, b2_;
+  /// One worker's arrivals in the current phase, written only by fibers of
+  /// that worker until it flushes them.
+  struct alignas(64) Slot {
+    int arrived = 0;
+    bool deferred = false;  ///< a flush is pending on the worker
+    double max = 0.0;
+    std::vector<Fiber*> waiters;
+  };
+
+  /// Close the phase (under mu_): publish its max, release every waiter.
+  void complete() {
+    released_ = max_;
+    arrived_ = 0;
+    for (size_t w = 0; w < slots_.size(); ++w)
+      exec::release(static_cast<int>(w), slots_[w].waiters);
+  }
+
+  const int n_;
+  SpinLock mu_;  ///< guards the fields below
+  int expected_;
+  int arrived_ = 0;        ///< arrivals flushed this phase
+  double max_ = 0.0;       ///< their max clock
+  double released_ = 0.0;  ///< max of the last completed phase
+  std::vector<Slot> slots_;
 };
 
 /// Ordered group of world ranks with a barrier and exchange slots.
@@ -68,17 +115,21 @@ class Comm {
   int size() const { return static_cast<int>(members_.size()); }
   int world_rank(int idx) const { return members_[static_cast<size_t>(idx)]; }
   const std::vector<int>& members() const { return members_; }
-  /// Index of `world_rank` in this comm, or -1 if not a member.
-  int index_of(int world_rank) const;
+  /// Index of `world_rank` in this comm, or -1 if not a member. O(1).
+  int index_of(int world_rank) const {
+    return world_rank >= 0 && world_rank < static_cast<int>(index_.size())
+               ? index_[static_cast<size_t>(world_rank)]
+               : -1;
+  }
 
   VBarrier& barrier() { return *barrier_; }
-  /// Retire `world_rank` from this comm's barrier (see VBarrier::retire).
-  void retire(int world_rank) { barrier_->retire(index_of(world_rank)); }
-  /// Rebuild the barrier at full membership. Retirement permanently lowers
-  /// a std::barrier's expected count, so after a run with crashes the next
-  /// run (which revives every rank) needs a fresh barrier; called by
-  /// Cluster::run between runs, never while rank threads are inside.
-  void rearm() { barrier_ = std::make_unique<VBarrier>(size()); }
+  /// Retire member `world_rank` from this comm's barrier (VBarrier::retire).
+  void retire(int world_rank);
+  /// Restore the barrier to full membership. Retirement lowers the
+  /// expected count for good, so after a run with crashes the next run
+  /// (which revives every rank) needs this; called by Cluster::run between
+  /// runs, never while ranks are inside.
+  void rearm() { barrier_->rearm(); }
 
   // --- exchange slots (publish before a barrier, read after) -----------
   void publish_ptr(int idx, const void* p) {
@@ -98,6 +149,7 @@ class Comm {
 
  private:
   std::vector<int> members_;
+  std::vector<int> index_;  ///< world rank -> member index, or -1
   std::unique_ptr<VBarrier> barrier_;
   std::vector<const void*> ptr_slots_;
   std::vector<std::uint64_t> val_slots_;

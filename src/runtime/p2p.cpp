@@ -1,7 +1,7 @@
 #include "runtime/p2p.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <mutex>
 #include <string>
 
 #include "faults/errors.hpp"
@@ -82,11 +82,14 @@ void PostOffice::send(Proc& from, int to, std::span<const std::uint64_t> payload
     if (v == faults::Verdict::corrupt && inj != nullptr)
       inj->corrupt_payload(data, from.rank, to, seq, attempt);
     {
-      std::lock_guard<std::mutex> lock(box.mu);
+      std::lock_guard<SpinLock> lock(box.mu);
       box.queue.push_back(Message{from.rank, from.clock.now_ns(), seq, checksum,
                                   std::move(data)});
+      if (box.waiter != nullptr && box.waiting_from == from.rank) {
+        exec::wake(box.waiter);
+        box.waiter = nullptr;
+      }
     }
-    box.cv.notify_all();
 
     if (v == faults::Verdict::corrupt) {
       // The receiver's checksum check rejects this copy and NACKs; the
@@ -111,14 +114,12 @@ void PostOffice::send(Proc& from, int to, std::span<const std::uint64_t> payload
 }
 
 std::vector<std::uint64_t> PostOffice::recv(Proc& self, int from,
-                                            sim::Phase phase, double timeout_ns,
-                                            int host_grace_ms) {
+                                            sim::Phase phase,
+                                            double timeout_ns) {
   const faults::FaultInjector* inj =
       self.cluster != nullptr ? self.cluster->injector() : nullptr;
-  const bool finite = timeout_ns < kNoTimeout;
   Box& box = boxes_[static_cast<size_t>(self.rank)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  int host_waited_ms = 0;
+  std::unique_lock<SpinLock> lock(box.mu);
   for (;;) {
     auto it = std::find_if(box.queue.begin(), box.queue.end(),
                            [from](const Message& m) { return m.from == from; });
@@ -143,43 +144,39 @@ std::vector<std::uint64_t> PostOffice::recv(Proc& self, int from,
       }
       return std::move(m.payload);
     }
-
-    if (inj != nullptr && inj->dead(from)) {
-      if (finite) {
-        const double t0 = self.clock.now_ns();
-        self.clock.charge_ns(timeout_ns);
-        self.prof.add(phase, timeout_ns);
-        ++self.prof.counters().recv_timeouts;
-        self.trace_span(obs::kCatTime, sim::to_string(phase), t0,
-                        t0 + timeout_ns, "\"op\":\"recv_timeout\"");
+    if (inj == nullptr || !inj->dead(from)) {
+      box.waiter = exec::self();
+      box.waiting_from = from;
+      if (!exec::park(lock, /*interruptible=*/true)) {
+        lock.lock();  // woken by the matching send
+        continue;
       }
-      throw faults::TimeoutError(
-          "PostOffice::recv: rank " + std::to_string(self.rank) +
-          " waiting on rank " + std::to_string(from) +
-          ", which has crashed; no message will arrive");
+      // Quiescent: no rank can run, so nothing will ever arrive.
+      lock.lock();
+      box.waiter = nullptr;
     }
-    if (finite && host_waited_ms >= host_grace_ms) {
-      // Nothing arrived within the host grace window: model the virtual
-      // wait as exactly the requested timeout, deterministically.
+    lock.unlock();
+    const bool dead = inj != nullptr && inj->dead(from);
+    if (timeout_ns < kNoTimeout) {
+      // Model the virtual wait as exactly the requested timeout.
       const double t0 = self.clock.now_ns();
       self.clock.charge_ns(timeout_ns);
       self.prof.add(phase, timeout_ns);
       ++self.prof.counters().recv_timeouts;
       self.trace_span(obs::kCatTime, sim::to_string(phase), t0,
                       t0 + timeout_ns, "\"op\":\"recv_timeout\"");
-      throw faults::TimeoutError(
-          "PostOffice::recv: rank " + std::to_string(self.rank) +
-          " timed out after " + std::to_string(timeout_ns) +
-          " virtual ns waiting for a message from rank " +
-          std::to_string(from));
     }
-    if (finite || inj != nullptr) {
-      // Poll so a crash of the sender (or host-clock silence) is noticed.
-      box.cv.wait_for(lock, std::chrono::milliseconds(10));
-      host_waited_ms += 10;
-    } else {
-      box.cv.wait(lock);
-    }
+    const std::string who = "PostOffice::recv: rank " +
+                            std::to_string(self.rank) + " waiting on rank " +
+                            std::to_string(from);
+    if (dead)
+      throw faults::TimeoutError(who +
+                                 ", which has crashed; no message will arrive");
+    if (timeout_ns < kNoTimeout)
+      throw faults::TimeoutError(who + " timed out after " +
+                                 std::to_string(timeout_ns) + " virtual ns");
+    throw faults::TimeoutError(
+        who + ": every rank is blocked, so no message can arrive");
   }
 }
 

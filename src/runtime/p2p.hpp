@@ -17,19 +17,22 @@
 /// plus an exponential virtual-time backoff before each retransmission.
 /// Dropped attempts cost the sender the retransmit timeout. A message that
 /// exhausts the attempt budget raises `faults::FaultError`; a receive from
-/// a crashed (or silent, with a finite timeout) peer raises
-/// `faults::TimeoutError` instead of deadlocking the host thread.
+/// a crashed peer, or one no rank can ever answer, raises
+/// `faults::TimeoutError` instead of deadlocking.
+///
+/// A receive with no matching message parks the receiving fiber on its
+/// mailbox; the matching send wakes it. Ranks are fibers (executor.hpp), so
+/// a waiting receiver holds no worker thread.
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "numasim/phase_profile.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/executor.hpp"
 
 namespace numabfs::rt {
 
@@ -59,15 +62,14 @@ class PostOffice {
   /// `timeout_ns` bounds the *virtual* wait: on timeout, exactly
   /// `timeout_ns` is charged and faults::TimeoutError is thrown, so two
   /// runs with the same fault plan time out at bit-identical virtual
-  /// times. The timeout decision itself is host-assisted: a sender marked
-  /// dead by the fault injector trips it immediately, otherwise it trips
-  /// after `host_grace_ms` of host-clock silence (only the *decision* uses
-  /// the host clock — in any schedule where the message is never sent the
-  /// outcome is the same). A receive from a dead sender throws even with
-  /// the default infinite timeout: a diagnosable error beats a deadlock.
+  /// times. The decision is deterministic too: a sender marked dead by the
+  /// fault injector trips it at once, and otherwise it trips when the
+  /// executor is quiescent — every unfinished rank parked, so no message
+  /// can ever arrive. The same two conditions make a receive with the
+  /// default infinite timeout throw (charging nothing): a diagnosable error
+  /// beats a deadlock.
   std::vector<std::uint64_t> recv(Proc& self, int from, sim::Phase phase,
-                                  double timeout_ns = kNoTimeout,
-                                  int host_grace_ms = 5000);
+                                  double timeout_ns = kNoTimeout);
 
  private:
   struct Message {
@@ -78,15 +80,16 @@ class PostOffice {
     std::vector<std::uint64_t> payload;
   };
   struct Box {
-    std::mutex mu;
-    std::condition_variable cv;
+    SpinLock mu;
     std::deque<Message> queue;
+    Fiber* waiter = nullptr;  ///< the owner, parked until `waiting_from` sends
+    int waiting_from = -1;
   };
 
   int nranks_;
   std::vector<Box> boxes_;
   /// Per-(from,to) message sequence numbers; each cell has a single writer
-  /// (the sending rank's thread), so plain words suffice.
+  /// (the sending rank), so plain words suffice.
   std::vector<std::uint64_t> seq_;
 };
 

@@ -3,7 +3,7 @@
 /// Node-shared buffers — the simulator's stand-in for the paper's
 /// mmap-shared segments (Section III.A).
 ///
-/// All rank threads of a node that ask for the same (node, key) receive the
+/// All ranks of a node that ask for the same (node, key) receive the
 /// same span. Callers are responsible for the phase discipline the paper
 /// relies on: writers own disjoint regions, and reads of another rank's
 /// region happen only after a barrier.

@@ -79,8 +79,11 @@ TEST_P(AllgatherMatrix, DataIdenticalAcrossAlgorithms) {
 
 std::string matrix_name(const ::testing::TestParamInfo<Param>& ti) {
   const auto [nodes, ppn, words, algo] = ti.param;
-  return "n" + std::to_string(nodes) + "_p" + std::to_string(ppn) + "_w" +
-         std::to_string(words) + "_" + to_string(algo);
+  std::string name = "n";
+  name.append(std::to_string(nodes)).append("_p").append(std::to_string(ppn));
+  name.append("_w").append(std::to_string(words)).append("_").append(
+      to_string(algo));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -181,8 +184,10 @@ TEST_P(BfsWireConservation, RawPathMatchesPlanFormula) {
 
 std::string wire_name(const ::testing::TestParamInfo<WireParam>& ti) {
   const auto [nodes, ppn, v] = ti.param;
-  return "n" + std::to_string(nodes) + "_p" + std::to_string(ppn) + "_v" +
-         std::to_string(v);
+  std::string name = "n";
+  name.append(std::to_string(nodes)).append("_p").append(std::to_string(ppn));
+  name.append("_v").append(std::to_string(v));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, BfsWireConservation,

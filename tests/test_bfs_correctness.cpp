@@ -73,9 +73,13 @@ TEST_P(BfsVariants, ProducesValidGraph500Tree) {
 }
 
 std::string variant_shape_name(const ::testing::TestParamInfo<VariantShape>& ti) {
-  return "v" + std::to_string(std::get<0>(ti.param)) + "_n" +
-         std::to_string(std::get<1>(ti.param)) + "_ppn" +
-         std::to_string(std::get<2>(ti.param));
+  std::string name = "v";
+  name.append(std::to_string(std::get<0>(ti.param)))
+      .append("_n")
+      .append(std::to_string(std::get<1>(ti.param)))
+      .append("_ppn")
+      .append(std::to_string(std::get<2>(ti.param)));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -138,8 +138,7 @@ TEST(P2pFault, FiniteTimeoutChargesExactlyTheTimeout) {
   c.run([&](Proc& p) {
     if (p.rank != 1) return;  // rank 0 stays silent
     try {
-      (void)po.recv(p, 0, sim::Phase::other, timeout_ns,
-                    /*host_grace_ms=*/50);
+      (void)po.recv(p, 0, sim::Phase::other, timeout_ns);
     } catch (const faults::TimeoutError&) {
       threw = true;
       after_ns = p.clock.now_ns();
@@ -148,6 +147,55 @@ TEST(P2pFault, FiniteTimeoutChargesExactlyTheTimeout) {
   EXPECT_TRUE(threw);
   // Exactly timeout_ns in virtual time, regardless of host scheduling.
   EXPECT_DOUBLE_EQ(after_ns, timeout_ns);
+}
+
+TEST(P2pFault, InfiniteRecvNoRankCanAnswerThrowsInsteadOfHanging) {
+  Cluster c(topo(2), sim::CostParams{}, 1);  // no fault injector at all
+  bool threw = false;
+  double after_ns = -1;
+  PostOffice po(c.nranks());
+  c.run([&](Proc& p) {
+    if (p.rank != 1) return;  // rank 0 returns without sending
+    try {
+      (void)po.recv(p, 0, sim::Phase::other);
+    } catch (const faults::TimeoutError&) {
+      threw = true;
+      after_ns = p.clock.now_ns();
+    }
+  });
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(after_ns, 0.0);  // an unbounded wait charges nothing
+}
+
+TEST(P2pFault, TimeoutTripsOnlyOnceEveryRankIsParked) {
+  // Rank 0 sends only after a barrier that rank 1 reaches only once its
+  // receive gave up: the receive must time out (at exactly its bound),
+  // and the late message is still delivered to the next receive.
+  Cluster c(topo(2), sim::CostParams{}, 1);
+  PostOffice po(c.nranks());
+  bool timed_out = false;
+  std::vector<std::uint64_t> got;
+  double barrier_ns = -1;
+  c.run([&](Proc& p) {
+    if (p.rank == 0) {
+      p.charge(sim::Phase::other, 100.0);
+      p.barrier(c.world(), sim::Phase::stall);
+      const std::vector<std::uint64_t> payload = {42};
+      po.send(p, 1, payload, sim::Phase::other);
+      return;
+    }
+    try {
+      (void)po.recv(p, 0, sim::Phase::other, 1000.0);
+    } catch (const faults::TimeoutError&) {
+      timed_out = true;
+    }
+    p.barrier(c.world(), sim::Phase::stall);
+    barrier_ns = p.clock.now_ns();
+    got = po.recv(p, 0, sim::Phase::other);
+  });
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(barrier_ns, 1000.0);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{42}));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bfs/hybrid.hpp"
@@ -301,7 +302,8 @@ TEST(ObsEngine, BatchRunCoverageAndHostEvents) {
     double lo = 0, hi = 0, covered = 0;
     bool first = true;
     for (const auto& ev : tr->track(rank)) {
-      if (!ev.is_span() || ev.cat != obs::kCatTime) continue;
+      // By content: sanitizer builds do not merge equal string literals.
+      if (!ev.is_span() || std::string_view(ev.cat) != obs::kCatTime) continue;
       lo = first ? ev.ts_ns : std::min(lo, ev.ts_ns);
       hi = std::max(hi, ev.ts_ns + ev.dur_ns);
       covered += ev.dur_ns;

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cmath>
+#include <fstream>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+
+#include "faults/errors.hpp"
 #include "runtime/allgather.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/p2p.hpp"
@@ -49,6 +58,20 @@ TEST(Cluster, RunExecutesEveryRankOnce) {
   std::vector<std::atomic<int>> hits(16);
   c.run([&](Proc& p) { hits[static_cast<size_t>(p.rank)]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Comm, IndexOfIsATableLookup) {
+  const Comm c({9, 3, 12, 5});
+  EXPECT_EQ(c.index_of(9), 0);
+  EXPECT_EQ(c.index_of(3), 1);
+  EXPECT_EQ(c.index_of(12), 2);
+  EXPECT_EQ(c.index_of(5), 3);
+  // Non-members inside and outside the table's range.
+  EXPECT_EQ(c.index_of(4), -1);
+  EXPECT_EQ(c.index_of(0), -1);
+  EXPECT_EQ(c.index_of(13), -1);
+  EXPECT_EQ(c.index_of(1 << 20), -1);
+  EXPECT_EQ(c.index_of(-1), -1);
 }
 
 TEST(Barrier, AlignsClocksToMax) {
@@ -313,6 +336,222 @@ TEST(P2p, LargeIntraNodeCopiesPayCicoPenalty) {
         c.params().cico_factor * bytes / c.link().shm_flow_bw(1);
     EXPECT_NEAR(p.clock.now_ns(), expect, 1e-6);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Executor: ranks are fibers on a persistent worker pool
+// ---------------------------------------------------------------------------
+
+/// Modeled work of `rank` before barrier step `step` (deterministic, uneven).
+double work_ns(int rank, int step) {
+  return static_cast<double>((rank * 31 + step * 17) % 101);
+}
+
+TEST(Executor, ThousandRanksAlignToTheGroupMaxAtEveryBarrierKind) {
+  // 256 nodes x ppn 4: far more ranks than workers. Every 10th step also
+  // runs node, subgroup and leader barriers.
+  Cluster c(topo(256), sim::CostParams{}, 4);
+  const int n = c.nranks();
+  ASSERT_EQ(n, 1024);
+  enum Kind { world, node, subgroup, leaders };
+  std::vector<Kind> steps;
+  for (int i = 0; i < 200; ++i) {
+    steps.push_back(world);
+    if (i % 10 == 0) {
+      steps.push_back(node);
+      steps.push_back(subgroup);
+      steps.push_back(leaders);
+    }
+  }
+  const size_t ns = steps.size();
+  std::vector<double> before(ns * static_cast<size_t>(n), NAN);
+  std::vector<double> after(ns * static_cast<size_t>(n), NAN);
+  c.run([&](Proc& p) {
+    for (size_t s = 0; s < ns; ++s) {
+      if (steps[s] == leaders && !p.is_node_leader()) continue;
+      p.charge(sim::Phase::other, work_ns(p.rank, static_cast<int>(s)));
+      Comm& comm = steps[s] == world      ? c.world()
+                   : steps[s] == node     ? c.node_comm(p.node)
+                   : steps[s] == subgroup ? c.subgroup(p.local)
+                                          : c.leaders();
+      const size_t at = s * static_cast<size_t>(n) + static_cast<size_t>(p.rank);
+      before[at] = p.clock.now_ns();
+      p.barrier(comm, sim::Phase::stall);
+      after[at] = p.clock.now_ns();
+    }
+  });
+  for (size_t s = 0; s < ns; ++s) {
+    std::vector<const Comm*> groups;
+    switch (steps[s]) {
+      case world: groups = {&c.world()}; break;
+      case node:
+        for (int k = 0; k < 256; ++k) groups.push_back(&c.node_comm(k));
+        break;
+      case subgroup:
+        for (int l = 0; l < 4; ++l) groups.push_back(&c.subgroup(l));
+        break;
+      case leaders: groups = {&c.leaders()}; break;
+    }
+    for (const Comm* g : groups) {
+      double mx = 0;
+      for (int r : g->members())
+        mx = std::max(mx, before[s * static_cast<size_t>(n) + static_cast<size_t>(r)]);
+      for (int r : g->members())
+        ASSERT_EQ(after[s * static_cast<size_t>(n) + static_cast<size_t>(r)], mx)
+            << "step " << s << " rank " << r;
+    }
+  }
+}
+
+/// Rank `quitter` retires from every comm; the rest barrier twice on the
+/// world. With `last`, the quitter first waits (at quiescence, i.e. until
+/// every peer is parked in the first barrier) so it is the member that
+/// barrier awaits last.
+void retire_while_peers_wait(bool last) {
+  Cluster c(topo(2), sim::CostParams{}, 4);
+  PostOffice po(c.nranks());
+  constexpr int quitter = 5;
+  std::vector<double> first(8, NAN), second(8, NAN);
+  c.run([&](Proc& p) {
+    if (p.rank == quitter) {
+      p.charge(sim::Phase::other, 1e9);  // must not reach the group max
+      if (last) {
+        bool timed_out = false;
+        try {
+          (void)po.recv(p, 0, sim::Phase::other, 1.0);  // rank 0 never sends
+        } catch (const faults::TimeoutError&) {
+          timed_out = true;
+        }
+        EXPECT_TRUE(timed_out);
+      }
+      c.retire_rank(p);
+      return;
+    }
+    p.charge(sim::Phase::other, 10.0 * p.rank);
+    p.barrier(c.world(), sim::Phase::stall);
+    first[static_cast<size_t>(p.rank)] = p.clock.now_ns();
+    p.charge(sim::Phase::other, 100.0 * (8 - p.rank));
+    p.barrier(c.world(), sim::Phase::stall);  // expects n - 1
+    second[static_cast<size_t>(p.rank)] = p.clock.now_ns();
+  });
+  for (int r = 0; r < 8; ++r) {
+    if (r == quitter) continue;
+    EXPECT_EQ(first[static_cast<size_t>(r)], 70.0) << "rank " << r;
+    EXPECT_EQ(second[static_cast<size_t>(r)], 70.0 + 800.0) << "rank " << r;
+  }
+  // The next run revives every rank at full membership.
+  std::vector<double> full(8, NAN);
+  c.run([&](Proc& p) {
+    p.charge(sim::Phase::other, 1.0 + p.rank);
+    p.barrier(c.world(), sim::Phase::stall);
+    full[static_cast<size_t>(p.rank)] = p.clock.now_ns();
+  });
+  for (double t : full) EXPECT_EQ(t, 8.0);
+}
+
+TEST(Executor, RetiringRankReleasesWaitingPeers) {
+  retire_while_peers_wait(/*last=*/false);
+}
+
+TEST(Executor, RetiringTheLastAwaitedMemberCompletesThePhase) {
+  retire_while_peers_wait(/*last=*/true);
+}
+
+/// Memory maps and resident pages of this process.
+std::pair<int, long> maps_and_rss_pages() {
+  std::ifstream maps("/proc/self/maps");
+  int lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  std::ifstream statm("/proc/self/statm");
+  long size = 0, resident = 0;
+  statm >> size >> resident;
+  return {lines, resident};
+}
+
+TEST(Executor, BackToBackRunsReusePooledStacks) {
+  Cluster c(topo(16), sim::CostParams{}, 4);
+  const auto body = [&c](Proc& p) {
+    p.charge(sim::Phase::other, 1.0 + p.rank % 3);
+    p.barrier(c.world(), sim::Phase::stall);
+  };
+  c.run(body);  // warm: the pool has its workers and 64 stacks
+  const auto [maps0, rss0] = maps_and_rss_pages();
+  for (int i = 0; i < 1000; ++i) c.run(body);
+  const auto [maps1, rss1] = maps_and_rss_pages();
+  // A stack per rank per run would add 64000 mappings and touch new pages.
+  EXPECT_LE(maps1, maps0 + 4);
+// Sanitizer runtimes keep freed heap and shadow pages resident.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  const long page = sysconf(_SC_PAGESIZE);
+  EXPECT_LE((rss1 - rss0) * page, 4L << 20);
+#else
+  (void)rss0;
+  (void)rss1;
+#endif
+  EXPECT_DOUBLE_EQ(c.profiles()[0].get(sim::Phase::stall), 2.0);
+}
+
+TEST(Executor, RankCanUseAMebibyteOfStack) {
+  Cluster c(topo(4), sim::CostParams{}, 4);
+  std::atomic<int> wrong{0};
+  c.run([&](Proc& p) {
+    std::array<unsigned char, std::size_t{1} << 20> buf;
+    volatile unsigned char* v = buf.data();
+    for (std::size_t i = 0; i < buf.size(); i += 64)
+      v[i] = static_cast<unsigned char>(p.rank + i / 64);
+    // Every rank's frame is live across the barrier.
+    p.barrier(c.world(), sim::Phase::stall);
+    for (std::size_t i = 0; i < buf.size(); i += 64)
+      if (v[i] != static_cast<unsigned char>(p.rank + i / 64)) ++wrong;
+  });
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+void use_threadsafe_death_tests() {
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+}
+
+TEST(ExecutorDeathTest, ThrowingRankAbortsNamingItsRank) {
+  use_threadsafe_death_tests();
+  EXPECT_DEATH(
+      {
+        Cluster c(topo(2), sim::CostParams{}, 4);
+        c.run([&c](Proc& p) {
+          if (p.rank == 3) throw std::runtime_error("boom");
+          p.barrier(c.world(), sim::Phase::stall);
+        });
+      },
+      "rank 3 threw: boom");
+}
+
+TEST(ExecutorDeathTest, BarrierThatCanNeverCompleteAbortsInsteadOfHanging) {
+  use_threadsafe_death_tests();
+  EXPECT_DEATH(
+      {
+        Cluster c(topo(2), sim::CostParams{}, 4);
+        c.run([&c](Proc& p) {
+          if (p.rank == 2) return;  // leaves without retiring
+          p.barrier(c.world(), sim::Phase::stall);
+        });
+      },
+      "deadlock: 7 of 8 ranks");
+}
+
+TEST(Executor, RunFromInsideARankIsRejected) {
+  Cluster c(topo(1), sim::CostParams{}, 1);
+  bool threw = false;
+  c.run([&](Proc&) {
+    try {
+      c.run([](Proc&) {});
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  EXPECT_TRUE(threw);
 }
 
 }  // namespace
