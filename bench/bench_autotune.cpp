@@ -13,8 +13,8 @@
 /// (--emit-profile=PATH, schema numabfs.tuned_profile.v1) and can be
 /// loaded back (--profile=PATH) to skip the search: lookup is exact shape
 /// first, nearest-shape otherwise. A final row runs the tuned config with
-/// the online per-level controllers on (tune.adapt_*) and records their
-/// decisions under numabfs.metrics.v1 keys.
+/// the online direction controller on (tune.adapt_direction) and records
+/// its decisions under numabfs.metrics.v1 keys.
 ///
 /// The binary exits 1 if the tuned configuration loses to the best
 /// hand-picked one on either objective — that inequality is the contract
@@ -104,11 +104,9 @@ struct EngineGrid {
 };
 
 /// Turn the tuned static config into its online-adaptive variant: enable
-/// every controller the config's other knobs allow.
+/// the direction controller when the config's direction policy allows it.
 bfs::Config with_online(bfs::Config c) {
   c.tune.adapt_direction = c.direction == bfs::Direction::hybrid;
-  c.tune.adapt_chunks = c.codec != bfs::CodecMode::off;
-  c.tune.adapt_allgather = c.sharing == bfs::Sharing::none;
   return c;
 }
 
@@ -219,7 +217,7 @@ int main(int argc, char** argv) {
   t1.row({"tuned (offline search)", tuned_cfg.name(),
           harness::Table::gteps(tuned_teps)});
 
-  // Online controllers on top of the tuned static point.
+  // Online direction control on top of the tuned static point.
   const bfs::Config online_cfg = with_online(tuned_cfg);
   const harness::EvalResult online = e.run(online_cfg, roots);
   t1.row({"tuned + online control", online_cfg.name(),

@@ -88,18 +88,14 @@ inline void record_robustness(obs::Registry& reg, const std::string& prefix,
 
 /// Record the per-level decisions of one BFS run under `prefix` (e.g.
 /// "autotune.online.decisions"): levels per direction, the codec each
-/// exchange rode, the chosen pipeline depth K and allgather algorithm, and
-/// the online-controller switch counts. Stable `numabfs.metrics.v1` keys:
+/// exchange rode, and the direction controller's switch count. Stable
+/// `numabfs.metrics.v1` keys:
 ///   <prefix>.direction.{td,bu}            counters (levels run)
 ///   <prefix>.codec.{raw,sparse,dense}     counters (exchanges)
-///   <prefix>.chunks.k<K>                  counters (bitmap exchanges)
-///   <prefix>.allgather.<algo>             counters (non-shared plans)
-///   <prefix>.switches.{direction,chunks,allgather}  gauges
+///   <prefix>.switches.direction           gauge
 inline void record_decisions(obs::Registry& reg, const std::string& prefix,
                              const bfs::BfsRunResult& r) {
   reg.gauge(prefix + ".switches.direction").set(r.tune_direction_switches);
-  reg.gauge(prefix + ".switches.chunks").set(r.tune_chunk_switches);
-  reg.gauge(prefix + ".switches.allgather").set(r.tune_allgather_switches);
   for (const bfs::LevelTrace& t : r.trace) {
     reg.counter(prefix +
                 (t.direction == 0 ? ".direction.td" : ".direction.bu"))
@@ -110,13 +106,6 @@ inline void record_decisions(obs::Registry& reg, const std::string& prefix,
       case 2: reg.counter(prefix + ".codec.dense").add(); break;
       default: break;  // final level: no exchange
     }
-    if (t.exchange_chunks > 0)
-      reg.counter(prefix + ".chunks.k" + std::to_string(t.exchange_chunks))
-          .add();
-    if (t.exchange_algo >= 0)
-      reg.counter(prefix + ".allgather." +
-                  rt::to_string(static_cast<rt::AllgatherAlgo>(t.exchange_algo)))
-          .add();
   }
 }
 

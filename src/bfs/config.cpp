@@ -56,12 +56,6 @@ std::string Config::validate() const {
   if (tune.hysteresis < 0.0 || tune.hysteresis >= 1.0)
     return "tune.hysteresis must be in [0, 1)";
   if (tune.dwell < 0) return "tune.dwell must be >= 0";
-  if (tune.adapt_chunks && codec == CodecMode::off)
-    return "tune.adapt_chunks requires an active codec: there is no pipeline "
-           "depth to adapt on the raw exchange (set codec=gate)";
-  if (tune.adapt_allgather && sharing != Sharing::none)
-    return "tune.adapt_allgather requires sharing == none: shared-memory "
-           "exchange plans do not consult base_algo";
   return {};
 }
 

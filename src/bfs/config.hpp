@@ -35,25 +35,17 @@ enum class Direction { hybrid, top_down_only, bottom_up_only };
 /// byte-identical to the pre-codec exchange path.
 enum class CodecMode { off, gate, force_sparse, force_dense };
 
-/// Online per-level adaptive control (DESIGN.md §15). All flags default to
-/// off; with every flag off the BFS drivers construct no controller state
-/// and the run is bit-identical to a build without this struct.
+/// Online per-level adaptive control (DESIGN.md §15). Off by default; off,
+/// the BFS driver constructs no controller state and the run is
+/// bit-identical to a build without this struct.
 struct TuneOptions {
   /// Replace the static Beamer direction test with the measured-rate
   /// DirectionController once both directions have trailing history.
   bool adapt_direction = false;
-  /// Re-pick the exchange pipeline depth K per level from the trailing
-  /// measured wire-chunk bytes (requires an active codec).
-  bool adapt_chunks = false;
-  /// Re-pick the inter-node allgather algorithm per level (requires
-  /// sharing == none — shared-memory plans don't use base_algo).
-  bool adapt_allgather = false;
 
   int window = 3;            ///< trailing-window length (levels)
   double hysteresis = 0.15;  ///< relative margin required to switch a knob
   int dwell = 2;             ///< levels a fresh choice is held
-
-  bool any() const { return adapt_direction || adapt_chunks || adapt_allgather; }
 };
 
 struct Config {

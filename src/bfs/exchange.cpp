@@ -7,7 +7,6 @@
 #include <string>
 
 #include "runtime/coll_model.hpp"
-#include "tune/controller.hpp"
 
 namespace numabfs::bfs {
 
@@ -338,8 +337,7 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
 
 ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
-                                sim::Phase phase, std::span<const int> parts,
-                                tune::ExchangeTuner* tuner) {
+                                sim::Phase phase, std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
   const faults::FaultInjector* inj = c.injector();
   rt::Comm& world = c.world();
@@ -364,19 +362,15 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   const bool par_plan =
       st.shared_in() && st.shared_out() && cfg.parallel_allgather && !degraded;
 
-  // The base allgather algorithm and pipeline depth start at the static
-  // Config knobs; an attached online tuner re-picks them per level below.
-  rt::AllgatherAlgo algo = cfg.base_algo;
-
   // Modeled duration of one allgather under the active plan, as a function
   // of the per-rank chunk size actually on the wire (shared between the
   // codec gate's estimates and the final charge, so the gate optimizes the
   // quantity that is charged).
   const auto plan_time = [&](std::uint64_t chunk_bytes) -> cm::CollTimes {
     if (!st.shared_in()) {
-      if (algo == rt::AllgatherAlgo::flat_ring)
+      if (cfg.base_algo == rt::AllgatherAlgo::flat_ring)
         return cm::flat_ring(c, chunk_bytes);
-      const bool rd = algo == rt::AllgatherAlgo::leader_rd;
+      const bool rd = cfg.base_algo == rt::AllgatherAlgo::leader_rd;
       return cm::leader_allgather(c, chunk_bytes, true, true, 1, rd);
     }
     if (!st.shared_out()) return cm::leader_allgather(c, chunk_bytes, true, false, 1);
@@ -395,38 +389,8 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
       if (q != p.rank) f(q);
   };
 
-  // --- online per-level knob decisions (DESIGN.md §15) ------------------
-  // Inputs are the trailing mean of the gate's allreduced measured chunk
-  // bytes (identical on every rank) and the rank-uniform collective
-  // models, so every rank steps identical arbiter state — the same SPMD
-  // contract as the codec gate itself. Until a measurement exists, the
-  // basis is the raw chunk size, which reproduces the static choice.
-  int K = std::max(1, cfg.exchange_chunks);
+  const int K = std::max(1, cfg.exchange_chunks);
   const double per_chunk_ns = c.params().chunk_split_overhead_ns;
-  if (tuner != nullptr) {
-    const std::uint64_t basis =
-        tuner->ready() ? tuner->trailing_chunk_bytes() : block_words * 8;
-    if (tuner->adapt_allgather() && !st.shared_in()) {
-      std::vector<double> algo_costs;
-      for (int a : tuner->algo_candidates()) {
-        algo = static_cast<rt::AllgatherAlgo>(a);
-        algo_costs.push_back(plan_time(basis).total_ns);
-      }
-      algo = static_cast<rt::AllgatherAlgo>(
-          tuner->algo_candidates()[static_cast<size_t>(
-              tuner->algo_arbiter().decide(algo_costs))]);
-    }
-    if (tuner->adapt_chunks()) {
-      const double wire_est = plan_time(basis).total_ns;
-      const double dec_est = u.stream_pass_ns(assemble_chunks * block_words);
-      std::vector<double> k_costs;
-      for (int k : tuner->k_candidates())
-        k_costs.push_back(cm::pipelined2_ns(wire_est, dec_est, k) +
-                          static_cast<double>(k - 1) * per_chunk_ns);
-      K = tuner->k_candidates()[static_cast<size_t>(
-          tuner->k_arbiter().decide(k_costs))];
-    }
-  }
 
   // --- per-level codec gate (DESIGN.md §10) -----------------------------
   // Every rank computes the same decision from allreduced measured sparsity
@@ -452,9 +416,6 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   const codec::Kind kind = gate.kind;
   const double enc_ns = gate.encode_ns;
   const std::uint64_t wire_chunk = gate.wire_chunk_bytes;
-  // Feed the measured (allreduced) chunk size back into the tuner's
-  // trailing window for the next level's decisions.
-  if (tuner != nullptr) tuner->observe(wire_chunk);
 
   // --- data-plumbing helpers (real movement; time is modeled below) -----
   const auto copy_queue_chunk = [&](graph::BitmapView dst, int src_rank) {
@@ -582,8 +543,6 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   ex.overlap_saved_ns = overlap_saved;
   ex.chunk_raw_bytes = qchunk_bytes;
   ex.chunk_wire_bytes = wire_chunk;
-  ex.chunks_used = kind != codec::Kind::raw ? K : 1;
-  ex.algo_used = st.shared_in() ? -1 : static_cast<int>(algo);
   return ex;
 }
 
@@ -598,13 +557,11 @@ ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
     if (cur_dir == 0)
       for (int q : parts) discovered_to_out_bits(p, st_, u_, q);
     const ExchangeTimes ex =
-        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, parts, tuner_);
+        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, parts);
     s.codec = ex.codec;
     s.wire_bytes = ex.chunk_wire_bytes;
     s.raw_bytes = ex.chunk_raw_bytes;
     s.bitmap = true;
-    s.chunks = ex.chunks_used;
-    s.algo = ex.algo_used;
   } else {
     // Next level is top-down: the sparse list exchange suffices; when
     // leaving bottom-up, the stale out bitmaps are wiped on the way.

@@ -25,10 +25,6 @@
 #include "graph/summary.hpp"
 #include "runtime/cluster.hpp"
 
-namespace numabfs::tune {
-class ExchangeTuner;
-}  // namespace numabfs::tune
-
 namespace numabfs::bfs {
 
 /// Breakdown of the modeled exchange duration (for Figs. 6/12/13), plus the
@@ -46,8 +42,6 @@ struct ExchangeTimes {
   double overlap_saved_ns = 0;  ///< wire/decode pipelining gain
   std::uint64_t chunk_raw_bytes = 0;   ///< per-rank raw contribution
   std::uint64_t chunk_wire_bytes = 0;  ///< what actually rides the wire
-  int chunks_used = 1;   ///< pipeline depth K this exchange actually rode
-  int algo_used = -1;    ///< rt::AllgatherAlgo as int; -1 = shared-memory plan
 };
 
 /// What the sparse (top-down) exchange moved, for per-level accounting.
@@ -62,15 +56,10 @@ struct SparseExchangeStats {
 /// out_queue chunks, then wipe the out structures. SPMD: all ranks call.
 /// Charges the modeled duration to `phase`. `parts` lists the caller's
 /// partitions (empty = own rank only).
-/// `tuner` (optional, per-rank but identically-stated on every rank) lets
-/// the exchange re-pick its pipeline depth K and base allgather algorithm
-/// per level from trailing allreduced measurements (DESIGN.md §15); null
-/// keeps the static Config knobs.
 ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
                                 sim::Phase phase,
-                                std::span<const int> parts = {},
-                                tune::ExchangeTuner* tuner = nullptr);
+                                std::span<const int> parts = {});
 
 /// Sparse exchange (used when the next level is top-down): allgatherv of
 /// the per-rank discovered-vertex lists into every rank's replicated
@@ -157,8 +146,6 @@ struct ExchangeLevelStats {
   std::uint64_t wire_bytes = 0;  ///< measured bytes on the wire
   std::uint64_t raw_bytes = 0;   ///< their uncoded equivalent
   bool bitmap = false;           ///< bitmap family (vs sparse-list family)
-  int chunks = 1;  ///< pipeline depth K the exchange rode (bitmap family)
-  int algo = -1;   ///< rt::AllgatherAlgo as int; -1 = shared-memory plan
 };
 
 /// The communication step between two BFS levels, behind which both the
@@ -181,11 +168,8 @@ class FrontierExchange {
 /// (materializing the discovered list into out bits on a td -> bu switch).
 class OneDExchange final : public FrontierExchange {
  public:
-  /// `tuner` (optional): the per-rank online controller for K and the
-  /// allgather algorithm; identical state on every rank (DESIGN.md §15).
-  OneDExchange(const graph::DistGraph& dg, DistState& st, const UnitCosts& u,
-               tune::ExchangeTuner* tuner = nullptr)
-      : dg_(dg), st_(st), u_(u), tuner_(tuner) {}
+  OneDExchange(const graph::DistGraph& dg, DistState& st, const UnitCosts& u)
+      : dg_(dg), st_(st), u_(u) {}
   const char* name() const override { return "1d"; }
   ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
                               std::span<const int> parts) override;
@@ -194,7 +178,6 @@ class OneDExchange final : public FrontierExchange {
   const graph::DistGraph& dg_;
   DistState& st_;
   const UnitCosts& u_;
-  tune::ExchangeTuner* tuner_ = nullptr;
 };
 
 }  // namespace numabfs::bfs

@@ -1,13 +1,13 @@
 #include "bfs/hybrid.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <optional>
 
+#include "bfs/direction.hpp"
 #include "bfs/exchange.hpp"
 #include "bfs/kernels.hpp"
-#include "faults/errors.hpp"
+#include "bfs/level_loop.hpp"
 #include "runtime/allgather.hpp"
 #include "tune/controller.hpp"
 
@@ -91,27 +91,6 @@ std::uint64_t ckpt_words(DistState& st, int part) {
          st.pred(part).size() * sizeof(graph::Vertex) / 8;
 }
 
-void save_checkpoint(rt::Proc& p, DistState& st, const UnitCosts& u, int part,
-                     PartCheckpoint& ck) {
-  auto vw = st.visited(part).words();
-  ck.visited.assign(vw.begin(), vw.end());
-  auto pr = st.pred(part);
-  ck.pred.assign(pr.begin(), pr.end());
-  ck.unvisited_edges = st.unvisited_edges(part);
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(st, part)));
-}
-
-void restore_checkpoint(rt::Proc& p, DistState& st, const UnitCosts& u,
-                        int part, const PartCheckpoint& ck) {
-  auto vw = st.visited(part).words();
-  std::memcpy(vw.data(), ck.visited.data(), ck.visited.size() * 8);
-  auto pr = st.pred(part);
-  std::memcpy(pr.data(), ck.pred.data(), ck.pred.size() * sizeof(graph::Vertex));
-  st.unvisited_edges(part) = ck.unvisited_edges;
-  st.discovered(part).clear();
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(st, part)));
-}
-
 }  // namespace
 
 BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
@@ -132,16 +111,12 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     costs[static_cast<size_t>(r)] = unit_costs(c, cfg, sz);
   }
 
+  // Recorder-written: `out`'s per-run fields and these per-level records.
+  out.visited = 1;  // root
   struct Shared {
-    std::vector<int> directions;
-    int td_ex = 0, bu_ex = 0;
-    std::uint64_t visited = 1;  // root
     std::vector<std::uint64_t> frontier_sizes;  // per level (input frontier)
     std::vector<std::uint64_t> discovered;      // per level
     std::vector<int> ex_codec;   // codec of the exchange after each level
-    std::vector<int> ex_chunks;  // its pipeline depth K (-1: none/sparse)
-    std::vector<int> ex_algo;    // its allgather algo (-1: none/shared)
-    int dir_switches = 0, k_switches = 0, ag_switches = 0;
   } shared;
 
   // Host-side per-rank, per-level measurements (no virtual-time impact).
@@ -153,44 +128,26 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
   std::vector<std::vector<RankLevel>> rank_levels(
       static_cast<size_t>(c.nranks()));
 
-  // Fault tolerance: a scheduled crash without checkpointing cannot be
-  // survived — refuse it up front with a diagnosable error (the fault plan
-  // is known before the traversal starts).
-  faults::FaultInjector* inj = c.injector();
-  if (inj != nullptr && inj->has_crashes() && !inj->checkpointing())
-    throw faults::FaultError(
-        "run_bfs: the fault plan schedules rank crashes but checkpointing is "
-        "disabled (checkpoint:off); the traversal could not be recovered");
-  const bool ckpt_on = inj != nullptr && inj->checkpointing();
+  LevelLoop loop(c, {.who = "run_bfs", .trace_cat = obs::kCatBfs});
   // Indexed by partition; ckpt[q] is written by q's current owner only, and
   // crash detection is barrier-ordered, so adoption hand-off is race-free.
-  std::vector<PartCheckpoint> ckpt(
-      ckpt_on ? static_cast<size_t>(c.nranks()) : 0);
-  std::atomic<int> recoveries{0};
+  std::vector<PartCheckpoint> ckpt(static_cast<size_t>(c.nranks()));
+  const Beamer beamer{cfg.alpha, cfg.beta};
 
   c.run([&](rt::Proc& p) {
     const UnitCosts& u = costs[static_cast<size_t>(p.rank)];
     rt::Comm& world = c.world();
     const auto& lg = dg.locals[static_cast<size_t>(p.rank)];
 
-    // Online controllers (DESIGN.md §15): per-rank objects, but every input
-    // they consume is allreduced or rank-uniform, so all ranks step
-    // identical state and reach identical decisions. With every tune flag
-    // off nothing is constructed and no extra reduction runs — the run is
-    // bit-identical to a controller-free build.
-    const tune::KnobPolicy pol{cfg.tune.hysteresis, cfg.tune.dwell};
+    // Online direction controller (DESIGN.md §15): a per-rank object, but
+    // every input it consumes is allreduced or rank-uniform, so all ranks
+    // step identical state and reach identical decisions. Off, nothing is
+    // constructed and no extra reduction runs.
     std::optional<tune::DirectionController> dctl;
     if (cfg.tune.adapt_direction && cfg.direction == Direction::hybrid)
-      dctl.emplace(cfg.tune.window, pol);
-    std::optional<tune::ExchangeTuner> xtuner;
-    if (cfg.tune.adapt_chunks || cfg.tune.adapt_allgather)
-      xtuner.emplace(cfg.tune.adapt_chunks, cfg.tune.adapt_allgather,
-                     cfg.tune.window, pol, std::max(1, cfg.exchange_chunks),
-                     static_cast<int>(cfg.base_algo));
-    OneDExchange exchanger(dg, st, u, xtuner ? &*xtuner : nullptr);
-    // The partitions this rank executes: its own, plus any adopted from
-    // crashed ranks. Recomputed whenever a death is detected.
-    std::vector<int> parts{p.rank};
+      dctl.emplace(cfg.tune.window,
+                   tune::KnobPolicy{cfg.tune.hysteresis, cfg.tune.dwell});
+    OneDExchange exchanger(dg, st, u);
 
     reset_state(p, dg, st, root, u);
 
@@ -206,45 +163,50 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     if (cfg.direction == Direction::hybrid) {
       const std::uint64_t rem = rt::allreduce_sum(
           p, world, st.unvisited_edges(p.rank), sim::Phase::stall);
-      if (static_cast<double>(frontier_edges) >
-          static_cast<double>(rem) / cfg.alpha)
-        dir = 1;
+      dir = beamer.first(frontier_edges, rem);
     }
 
     std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
     std::uint64_t visited_total = 1;  // rank-uniform (allreduced nf sums)
-    int level = 0;
-    int handled_dead = 0;
-    for (;;) {
-      const double level_t0 = p.clock.now_ns();
-      // Level boundary: checkpoint every owned partition, *then* die if
-      // this rank's crash is scheduled here — the fail-stop model is "the
-      // boundary checkpoint completed, the crash hit afterwards", so the
-      // adopter always finds start-of-level state.
-      if (ckpt_on)
-        for (int q : parts)
-          save_checkpoint(p, st, costs[static_cast<size_t>(q)], q,
-                          ckpt[static_cast<size_t>(q)]);
-      if (inj != nullptr && inj->crash_level(p.rank) == level) {
-        inj->mark_dead(p.rank);
-        c.retire_rank(p);  // survivors' barriers stop expecting us
-        return;
-      }
 
-      const auto& cnt0 = p.prof.counters();
-      const std::uint64_t edges0 = cnt0.edges_scanned;
-      const std::uint64_t skips0 = cnt0.summary_zero_skips;
-      const std::uint64_t probes0 = cnt0.summary_probes;
-      const std::uint64_t wire0 = cnt0.bytes_intra_node + cnt0.bytes_inter_node;
-      const std::uint64_t raw0 = cnt0.bytes_raw_equiv;
-      const double comp0 = p.prof.get(sim::Phase::td_comp) +
-                           p.prof.get(sim::Phase::bu_comp);
-      const double comm0 = p.prof.comm_ns();
+    // Per-attempt level state: the kernel step fills it, finish reads it.
+    std::uint64_t nf = 0, mf = 0, rem = 0, kernel_edges = 0;
+    double kernel_ns = 0;
+    sim::Counters cnt0;  // counters at level start
+    double comp0 = 0, comm0 = 0;
+
+    LevelHooks hooks;
+    hooks.save = [&](int q) {
+      PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
+      auto vw = st.visited(q).words();
+      ck.visited.assign(vw.begin(), vw.end());
+      auto pr = st.pred(q);
+      ck.pred.assign(pr.begin(), pr.end());
+      ck.unvisited_edges = st.unvisited_edges(q);
+      p.charge(sim::Phase::other, costs[static_cast<size_t>(q)].stream_pass_ns(
+                                      ckpt_words(st, q)));
+    };
+    hooks.restore = [&](int q) {
+      const PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
+      auto vw = st.visited(q).words();
+      std::memcpy(vw.data(), ck.visited.data(), ck.visited.size() * 8);
+      auto pr = st.pred(q);
+      std::memcpy(pr.data(), ck.pred.data(),
+                  ck.pred.size() * sizeof(graph::Vertex));
+      st.unvisited_edges(q) = ck.unvisited_edges;
+      st.discovered(q).clear();
+      p.charge(sim::Phase::other, costs[static_cast<size_t>(q)].stream_pass_ns(
+                                      ckpt_words(st, q)));
+    };
+    hooks.kernel = [&](const Level& lv) {
+      cnt0 = p.prof.counters();
+      comp0 = p.prof.get(sim::Phase::td_comp) + p.prof.get(sim::Phase::bu_comp);
+      comm0 = p.prof.comm_ns();
 
       LevelResult lr;
       std::uint64_t my_rem = 0;
       const double kernel_t0 = p.clock.now_ns();
-      for (int q : parts) {
+      for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<size_t>(q)];
         const UnitCosts& qu = costs[static_cast<size_t>(q)];
         const LevelResult qr = dir == 0 ? top_down_level(p, qlg, qu, st, q)
@@ -253,50 +215,21 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
         lr.discovered_edges += qr.discovered_edges;
         my_rem += st.unvisited_edges(q);
       }
-      const double kernel_ns = p.clock.now_ns() - kernel_t0;
-      const std::uint64_t kernel_edges =
-          p.prof.counters().edges_scanned - edges0;
+      kernel_ns = p.clock.now_ns() - kernel_t0;
+      kernel_edges = p.prof.counters().edges_scanned - cnt0.edges_scanned;
       p.trace_span(obs::kCatBfs, dir == 0 ? "td_kernel" : "bu_kernel",
                    kernel_t0, p.clock.now_ns(),
-                   obs::kv("level", level) + "," +
+                   obs::kv("level", lv.number) + "," +
                        obs::kv("discovered", lr.discovered));
 
-      const std::uint64_t nf =
-          rt::allreduce_sum(p, world, lr.discovered, sim::Phase::stall);
-      const std::uint64_t mf = rt::allreduce_sum(p, world, lr.discovered_edges,
-                                                 sim::Phase::stall);
-      const std::uint64_t rem =
-          rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
-
-      // Crash detection point. A rank dies at the start of a level, before
-      // contributing to this level's kernels or reductions; the barriers
-      // above give every survivor a consistent view of the death. Recover
-      // by adopting the dead partitions, rolling every owned partition
-      // back to the boundary checkpoint, and re-running the level.
-      if (inj != nullptr && inj->dead_count() > handled_dead) {
-        handled_dead = inj->dead_count();
-        const size_t owned_before = parts.size();
-        parts = inj->parts_of(p.rank);
-        if (parts.size() > owned_before)
-          p.prof.counters().adoptions += parts.size() - owned_before;
-        const double rb_t0 = p.clock.now_ns();
-        for (int q : parts)
-          restore_checkpoint(p, st, costs[static_cast<size_t>(q)], q,
-                             ckpt[static_cast<size_t>(q)]);
-        if (p.rank == inj->lowest_live())
-          recoveries.fetch_add(1, std::memory_order_relaxed);
-        p.barrier(world, sim::Phase::stall);  // rollback complete everywhere
-        p.trace_span(obs::kCatBfs, "recovery.rollback", rb_t0,
-                     p.clock.now_ns(),
-                     obs::kv("level", level) + "," +
-                         obs::kv("parts", static_cast<int>(parts.size())));
-        continue;  // re-run the level (level/dir/prev_nf unchanged)
-      }
-
+      nf = rt::allreduce_sum(p, world, lr.discovered, sim::Phase::stall);
+      mf = rt::allreduce_sum(p, world, lr.discovered_edges, sim::Phase::stall);
+      rem = rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
+    };
+    hooks.finish = [&](const Level& lv) {
       // Completed-level accounting for the direction controller: the level
       // survived crash detection, so its measurements are final. The two
-      // extra allreduces run only when the controller is engaged, keeping
-      // controller-off runs free of any perturbation.
+      // extra allreduces run only when the controller is engaged.
       const std::uint64_t unvisited_before = n - visited_total;
       visited_total += nf;
       if (dctl) {
@@ -309,125 +242,77 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
                       unvisited_before);
       }
 
-      const int recorder = inj != nullptr ? inj->lowest_live() : 0;
-      if (p.rank == recorder) {
-        shared.directions.push_back(dir);
-        shared.visited += nf;
+      if (lv.recorder) {
+        out.directions.push_back(dir);
+        out.visited += nf;
         shared.frontier_sizes.push_back(prev_nf);
         shared.discovered.push_back(nf);
       }
-      const std::uint64_t frontier_prev_count = prev_nf;
+      const bool growing = nf > prev_nf;
       prev_nf = nf;
 
       const auto record_level = [&] {
         const auto& cnt1 = p.prof.counters();
         RankLevel rl;
-        rl.edges = cnt1.edges_scanned - edges0;
-        rl.skips = cnt1.summary_zero_skips - skips0;
-        rl.probes = cnt1.summary_probes - probes0;
-        rl.wire = cnt1.bytes_intra_node + cnt1.bytes_inter_node - wire0;
-        rl.wire_raw = cnt1.bytes_raw_equiv - raw0;
+        rl.edges = cnt1.edges_scanned - cnt0.edges_scanned;
+        rl.skips = cnt1.summary_zero_skips - cnt0.summary_zero_skips;
+        rl.probes = cnt1.summary_probes - cnt0.summary_probes;
+        rl.wire = cnt1.bytes_intra_node + cnt1.bytes_inter_node -
+                  (cnt0.bytes_intra_node + cnt0.bytes_inter_node);
+        rl.wire_raw = cnt1.bytes_raw_equiv - cnt0.bytes_raw_equiv;
         rl.comp_ns = p.prof.get(sim::Phase::td_comp) +
                      p.prof.get(sim::Phase::bu_comp) - comp0;
         rl.comm_ns = p.prof.comm_ns() - comm0;
         rank_levels[static_cast<size_t>(p.rank)].push_back(rl);
-      };
-      if (nf == 0) {
-        if (p.rank == recorder) {
-          shared.ex_codec.push_back(-1);  // no exchange
-          shared.ex_chunks.push_back(-1);
-          shared.ex_algo.push_back(-1);
-        }
-        record_level();
-        p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                     p.clock.now_ns(),
+        p.trace_span(obs::kCatBfs, "level " + std::to_string(lv.number),
+                     lv.t0, p.clock.now_ns(),
                      obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
                          obs::kv("discovered", nf));
-        break;
+      };
+      if (nf == 0) {
+        if (lv.recorder) shared.ex_codec.push_back(-1);  // no exchange
+        record_level();
+        return false;
       }
 
       // Decide the next level's direction first: it selects the exchange.
-      // td -> bu additionally requires a *growing* frontier (Beamer): at
-      // the tail the remaining-edge denominator collapses and the ratio
-      // test alone would bounce back into bottom-up for a dying frontier.
-      const bool growing = nf > frontier_prev_count;
       int next = dir;
       if (cfg.direction == Direction::hybrid) {
-        if (dctl) {
-          // Measured-rate choice once both directions have history; the
-          // static Beamer thresholds until then (controller.hpp).
-          next = dctl->decide(dir, growing, nf, mf, rem, n - visited_total, n,
-                              cfg.alpha, cfg.beta);
-        } else if (dir == 0 && growing &&
-                   static_cast<double>(mf) >
-                       static_cast<double>(rem) / cfg.alpha) {
-          next = 1;
-        } else if (dir == 1 && static_cast<double>(nf) <
-                                   static_cast<double>(n) / cfg.beta) {
-          next = 0;
-        }
+        // With the controller: measured-rate choice once both directions
+        // have history, Beamer's rule until then (controller.hpp).
+        next = dctl ? dctl->decide(dir, growing, nf, mf, rem,
+                                   n - visited_total, n, cfg.alpha, cfg.beta)
+                    : beamer.next(dir, growing, nf, mf, rem, n);
       }
 
       // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
       // the sparse list exchange is the top-down queue handoff. Both sit
       // behind the unified FrontierExchange interface (DESIGN.md §13).
-      const ExchangeLevelStats ex = exchanger.exchange(p, dir, next, parts);
+      const ExchangeLevelStats ex = exchanger.exchange(p, dir, next, lv.parts);
       p.trace_instant(obs::kCatBfs, "codec.gate",
-                      obs::kv("level", level) + "," +
+                      obs::kv("level", lv.number) + "," +
                           obs::kv("kind", graph::codec::to_string(ex.codec)) +
                           "," + obs::kv("wire_bytes", ex.wire_bytes) + "," +
                           obs::kv("raw_bytes", ex.raw_bytes));
-      if (p.rank == recorder) {
-        (ex.bitmap ? shared.bu_ex : shared.td_ex)++;
+      if (lv.recorder) {
+        (ex.bitmap ? out.bu_exchanges : out.td_exchanges)++;
         shared.ex_codec.push_back(static_cast<int>(ex.codec));
-        shared.ex_chunks.push_back(ex.bitmap ? ex.chunks : -1);
-        shared.ex_algo.push_back(ex.bitmap ? ex.algo : -1);
       }
       record_level();
-      p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                   p.clock.now_ns(),
-                   obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
-                       obs::kv("discovered", nf));
       dir = next;
-      ++level;
-    }
+      return true;
+    };
 
-    const int recorder = inj != nullptr ? inj->lowest_live() : 0;
-    if (p.rank == recorder) {
-      shared.dir_switches = dctl ? dctl->switches() : 0;
-      shared.k_switches = xtuner ? xtuner->k_switches() : 0;
-      shared.ag_switches = xtuner ? xtuner->algo_switches() : 0;
-    }
-    p.barrier(world, sim::Phase::stall);
+    loop.run(p, 0, hooks);
+    if (p.rank == loop.recorder() && dctl)
+      out.tune_direction_switches = dctl->switches();
   });
 
   // Aggregate.
-  const auto& profiles = c.profiles();
-  double max_total = 0;
-  for (const auto& pr : profiles) max_total = std::max(max_total, pr.total_ns());
-  out.time_ns = max_total;
-  out.visited = shared.visited;
-  out.directions = shared.directions;
-  out.levels = static_cast<int>(shared.directions.size());
-  for (int d : shared.directions) (d == 0 ? out.td_levels : out.bu_levels)++;
-  out.td_exchanges = shared.td_ex;
-  out.bu_exchanges = shared.bu_ex;
-  out.recoveries = recoveries.load(std::memory_order_relaxed);
-  out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-  out.tune_direction_switches = shared.dir_switches;
-  out.tune_chunk_switches = shared.k_switches;
-  out.tune_allgather_switches = shared.ag_switches;
-
-  sim::PhaseProfile sum;
-  sim::PhaseProfile mx;
-  for (const auto& pr : profiles) {
-    sum += pr;
-    mx.max_with(pr);
-  }
-  out.profile_avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
-  // scaled() multiplies times only; counters in profile_avg stay summed.
-  out.profile_avg.counters() = sum.counters();
-  out.profile_max = mx;
+  const LoopTotals tot = loop.totals(out.directions);
+  tot.copy_to(out);
+  out.time_ns = tot.time_ns;
+  out.profile_max = tot.profile_max;
 
   std::uint64_t traversed = 0;
   for (int r = 0; r < c.nranks(); ++r)
@@ -436,16 +321,14 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
   out.traversed_directed_edges = traversed;
 
   // Assemble the per-level trace from the host-side rank records.
-  out.trace.reserve(shared.directions.size());
-  for (size_t lvl = 0; lvl < shared.directions.size(); ++lvl) {
+  out.trace.reserve(out.directions.size());
+  for (size_t lvl = 0; lvl < out.directions.size(); ++lvl) {
     LevelTrace t;
     t.level = static_cast<int>(lvl);
-    t.direction = shared.directions[lvl];
+    t.direction = out.directions[lvl];
     t.frontier_vertices = shared.frontier_sizes[lvl];
     t.discovered = shared.discovered[lvl];
     if (lvl < shared.ex_codec.size()) t.exchange_codec = shared.ex_codec[lvl];
-    if (lvl < shared.ex_chunks.size()) t.exchange_chunks = shared.ex_chunks[lvl];
-    if (lvl < shared.ex_algo.size()) t.exchange_algo = shared.ex_algo[lvl];
     for (const auto& rl : rank_levels) {
       if (lvl >= rl.size()) continue;
       t.edges_scanned += rl[lvl].edges;

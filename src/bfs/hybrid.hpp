@@ -33,11 +33,6 @@ struct LevelTrace {
   /// Codec the exchange after this level rode: graph::codec::Kind as int
   /// (0 raw, 1 sparse, 2 dense); -1 for the final level (no exchange).
   int exchange_codec = -1;
-  /// Pipeline depth K of that exchange (-1: final level / sparse family).
-  int exchange_chunks = -1;
-  /// rt::AllgatherAlgo of that exchange as int (-1: final level, sparse
-  /// family, or a shared-memory plan that doesn't consult base_algo).
-  int exchange_algo = -1;
   /// Measured wire bytes of this level's exchange, summed over ranks, and
   /// what they would have been uncoded. Equal when the codec is off.
   std::uint64_t wire_bytes = 0;
@@ -76,10 +71,8 @@ struct BfsRunResult {
   int ranks_lost = 0;  ///< ranks dead by the end of the traversal
   std::vector<int> directions;  ///< 0 = top-down, 1 = bottom-up, per level
 
-  /// Online-controller switch counts (0 when Config::tune is all-off).
+  /// Direction-controller switch count (0 unless tune.adapt_direction).
   int tune_direction_switches = 0;
-  int tune_chunk_switches = 0;
-  int tune_allgather_switches = 0;
 
   sim::PhaseProfile profile_avg;  ///< mean over ranks
   sim::PhaseProfile profile_max;  ///< per-phase max over ranks
@@ -105,15 +98,9 @@ struct BfsRunResult {
 /// cluster's shape; it is reset internally, so it can be reused across
 /// roots.
 ///
-/// Fault tolerance: when the cluster carries a fault injector whose plan
-/// schedules rank crashes, level-boundary checkpoints (visited/pred/
-/// unvisited-edge counts per partition) are saved, and a crash is handled
-/// by the survivors: the dead rank's partition is adopted by the lowest
-/// live rank on its node (else the lowest live rank overall), checkpoints
-/// are rolled back, and the interrupted level is re-executed — the
-/// traversal completes and validates despite the loss. Scheduling a crash
-/// with checkpointing explicitly disabled (`checkpoint:off`) raises
-/// faults::FaultError up front: the run could not survive it.
+/// Fault tolerance: the LevelLoop protocol (DESIGN.md §6) over per-partition
+/// visited/pred/unvisited-edge checkpoints. A crash plan with checkpointing
+/// off (`checkpoint:off`) raises faults::FaultError up front.
 BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
                      graph::Vertex root);
 

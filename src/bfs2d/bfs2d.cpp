@@ -1,15 +1,14 @@
 #include "bfs2d/bfs2d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "bfs/direction.hpp"
+#include "bfs/level_loop.hpp"
 #include "bfs2d/exchange2d.hpp"
-#include "faults/errors.hpp"
-#include "faults/injector.hpp"
 #include "graph/bitmap.hpp"
 #include "obs/trace.hpp"
 #include "runtime/allgather.hpp"
@@ -240,37 +239,6 @@ std::uint64_t ckpt_words(const Grid2d& g) {
          g.piece_bits() * sizeof(graph::Vertex) / 8;
 }
 
-void save_checkpoint(rt::Proc& p, const Grid2d& g, State2d& st,
-                     const bfs::UnitCosts& u, int q, Ckpt2d& ck) {
-  const auto s = static_cast<std::size_t>(q);
-  auto vw = st.visited[s].view().words();
-  ck.visited.assign(vw.begin(), vw.end());
-  auto fw = st.frontier[s].view().words();
-  ck.frontier.assign(fw.begin(), fw.end());
-  auto rw = st.row_visited[s].view().words();
-  ck.row_visited.assign(rw.begin(), rw.end());
-  ck.pred = st.pred[s];
-  ck.unvisited_edges = st.unvisited_edges[s];
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(g)));
-}
-
-void restore_checkpoint(rt::Proc& p, const Grid2d& g, State2d& st,
-                        const bfs::UnitCosts& u, int q, const Ckpt2d& ck) {
-  const auto s = static_cast<std::size_t>(q);
-  std::memcpy(st.visited[s].view().words().data(), ck.visited.data(),
-              ck.visited.size() * 8);
-  std::memcpy(st.frontier[s].view().words().data(), ck.frontier.data(),
-              ck.frontier.size() * 8);
-  std::memcpy(st.row_visited[s].view().words().data(), ck.row_visited.data(),
-              ck.row_visited.size() * 8);
-  st.pred[s] = ck.pred;
-  st.unvisited_edges[s] = ck.unvisited_edges;
-  st.next[s].view().reset();
-  for (auto& box : st.out_children[s]) box.clear();
-  for (auto& box : st.out_parents[s]) box.clear();
-  p.charge(sim::Phase::other, u.stream_pass_ns(ckpt_words(g)));
-}
-
 }  // namespace
 
 std::string Bfs2dOptions::validate() const {
@@ -323,9 +291,10 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
 
   State2d st(dg, opt.summary_granularity);
 
+  // Recorder-written: `out`'s per-run fields and these per-level records.
+  Bfs2dResult out;
+  out.visited = 1;  // root
   struct Shared {
-    std::vector<int> directions;
-    std::uint64_t visited = 1;  // root
     std::vector<std::uint64_t> frontier_sizes;
     std::vector<std::uint64_t> discovered;
     std::vector<int> expand_codec;
@@ -335,20 +304,14 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
   } shared;
   std::vector<std::vector<LegBytes>> rank_levels(static_cast<std::size_t>(np));
 
-  faults::FaultInjector* inj = c.injector();
-  if (inj != nullptr && inj->has_crashes() && !inj->checkpointing())
-    throw faults::FaultError(
-        "run_bfs_2d: the fault plan schedules rank crashes but checkpointing "
-        "is disabled (checkpoint:off); the traversal could not be recovered");
-  const bool ckpt_on = inj != nullptr && inj->checkpointing();
-  std::vector<Ckpt2d> ckpt(ckpt_on ? static_cast<std::size_t>(np) : 0);
-  std::atomic<int> recoveries{0};
+  bfs::LevelLoop loop(c, {.who = "run_bfs_2d", .trace_cat = obs::kCatBfs});
+  std::vector<Ckpt2d> ckpt(static_cast<std::size_t>(np));
+  const bfs::Beamer beamer{opt.alpha, opt.beta};
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];
     rt::Comm& world = c.world();
     TwoDExchange ex(dg, st, costs, opt);
-    std::vector<int> parts{p.rank};
 
     // --- per-root reset (Phase::other, like the 1-D) --------------------
     {
@@ -391,39 +354,63 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       const std::uint64_t rem0 = rt::allreduce_sum(
           p, world, st.unvisited_edges[static_cast<std::size_t>(p.rank)],
           sim::Phase::stall);
-      if (static_cast<double>(frontier_edges) >
-          static_cast<double>(rem0) / opt.alpha)
-        dir = 1;
+      dir = beamer.first(frontier_edges, rem0);
     }
 
     double my_expand_sum = 0, my_fold_sum = 0;
-    // Bootstrap: build level 0's col-band inputs from the root frontier.
-    ex.reset_legs();
-    ex.build_inputs(p, dir, parts);
-    my_expand_sum += ex.last_expand_ns();
-    LegBytes in_legs = ex.legs();
+    // (Re)build the col-band inputs of the current level from the frontier
+    // pieces: the bootstrap from the root, and again after every rollback.
+    LegBytes in_legs;
+    const auto build_inputs = [&](std::span<const int> parts) {
+      ex.reset_legs();
+      ex.build_inputs(p, dir, parts);
+      my_expand_sum += ex.last_expand_ns();
+      in_legs = ex.legs();
+    };
+    build_inputs(std::vector<int>{p.rank});
 
     std::uint64_t prev_nf = 1;
-    int level = 0;
-    int handled_dead = 0;
-    for (;;) {
-      const double level_t0 = p.clock.now_ns();
-      // Level boundary: checkpoint, then die if scheduled (the fail-stop
-      // model is "the boundary checkpoint completed, the crash hit after").
-      if (ckpt_on)
-        for (int q : parts)
-          save_checkpoint(p, g, st, costs[static_cast<std::size_t>(q)], q,
-                          ckpt[static_cast<std::size_t>(q)]);
-      if (inj != nullptr && inj->crash_level(p.rank) == level) {
-        inj->mark_dead(p.rank);
-        c.retire_rank(p);
-        return;
-      }
-      LegBytes cur_legs = in_legs;
+    // Per-attempt level state: the kernel step fills it, finish reads it.
+    LegBytes cur_legs;
+    std::uint64_t nf = 0, mf = 0, rem = 0;
+
+    bfs::LevelHooks hooks;
+    hooks.save = [&](int q) {
+      const auto s = static_cast<std::size_t>(q);
+      Ckpt2d& ck = ckpt[s];
+      auto vw = st.visited[s].view().words();
+      ck.visited.assign(vw.begin(), vw.end());
+      auto fw = st.frontier[s].view().words();
+      ck.frontier.assign(fw.begin(), fw.end());
+      auto rw = st.row_visited[s].view().words();
+      ck.row_visited.assign(rw.begin(), rw.end());
+      ck.pred = st.pred[s];
+      ck.unvisited_edges = st.unvisited_edges[s];
+      p.charge(sim::Phase::other, costs[s].stream_pass_ns(ckpt_words(g)));
+    };
+    hooks.restore = [&](int q) {
+      const auto s = static_cast<std::size_t>(q);
+      const Ckpt2d& ck = ckpt[s];
+      std::memcpy(st.visited[s].view().words().data(), ck.visited.data(),
+                  ck.visited.size() * 8);
+      std::memcpy(st.frontier[s].view().words().data(), ck.frontier.data(),
+                  ck.frontier.size() * 8);
+      std::memcpy(st.row_visited[s].view().words().data(),
+                  ck.row_visited.data(), ck.row_visited.size() * 8);
+      st.pred[s] = ck.pred;
+      st.unvisited_edges[s] = ck.unvisited_edges;
+      st.next[s].view().reset();
+      for (auto& box : st.out_children[s]) box.clear();
+      for (auto& box : st.out_parents[s]) box.clear();
+      p.charge(sim::Phase::other, costs[s].stream_pass_ns(ckpt_words(g)));
+    };
+    hooks.after_rollback = build_inputs;
+    hooks.kernel = [&](const bfs::Level& lv) {
+      cur_legs = in_legs;
 
       // --- local scan -------------------------------------------------
       const double kernel_t0 = p.clock.now_ns();
-      for (int q : parts) {
+      for (int q : lv.parts) {
         const bfs::UnitCosts& qu = costs[static_cast<std::size_t>(q)];
         if (dir == 0)
           scan_td(p, dg, st, qu, q);
@@ -431,90 +418,56 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
           scan_bu(p, dg, st, qu, q);
       }
       p.trace_span(obs::kCatBfs, dir == 0 ? "2d.td_kernel" : "2d.bu_kernel",
-                   kernel_t0, p.clock.now_ns(), obs::kv("level", level));
+                   kernel_t0, p.clock.now_ns(), obs::kv("level", lv.number));
 
       // --- fold: claims travel the rows to their owners ---------------
       ex.reset_legs();
-      const FoldStats fr = ex.fold(p, dir, parts);
+      const FoldStats fr = ex.fold(p, dir, lv.parts);
       my_fold_sum += ex.last_fold_ns();
       cur_legs.fold_wire += ex.legs().fold_wire;
       cur_legs.fold_raw += ex.legs().fold_raw;
       cur_legs.fold_coded = ex.legs().fold_coded;
 
       std::uint64_t my_rem = 0;
-      for (int q : parts)
+      for (int q : lv.parts)
         my_rem += st.unvisited_edges[static_cast<std::size_t>(q)];
-      const std::uint64_t nf =
-          rt::allreduce_sum(p, world, fr.discovered, sim::Phase::stall);
-      const std::uint64_t mf =
-          rt::allreduce_sum(p, world, fr.discovered_edges, sim::Phase::stall);
-      const std::uint64_t rem =
-          rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
-
-      // Crash detection point: adopt the dead rank's partitions, roll back
-      // to the boundary checkpoint, rebuild the col-band inputs, re-run.
-      if (inj != nullptr && inj->dead_count() > handled_dead) {
-        handled_dead = inj->dead_count();
-        const std::size_t owned_before = parts.size();
-        parts = inj->parts_of(p.rank);
-        if (parts.size() > owned_before)
-          p.prof.counters().adoptions += parts.size() - owned_before;
-        const double rb_t0 = p.clock.now_ns();
-        for (int q : parts)
-          restore_checkpoint(p, g, st, costs[static_cast<std::size_t>(q)], q,
-                             ckpt[static_cast<std::size_t>(q)]);
-        if (p.rank == inj->lowest_live())
-          recoveries.fetch_add(1, std::memory_order_relaxed);
-        p.barrier(world, sim::Phase::stall);  // rollback complete everywhere
-        ex.reset_legs();
-        ex.build_inputs(p, dir, parts);
-        my_expand_sum += ex.last_expand_ns();
-        in_legs = ex.legs();
-        p.trace_span(obs::kCatBfs, "recovery.rollback", rb_t0,
-                     p.clock.now_ns(),
-                     obs::kv("level", level) + "," +
-                         obs::kv("parts", static_cast<int>(parts.size())));
-        continue;  // re-run the level (level/dir/prev_nf unchanged)
-      }
-
-      const int recorder = inj != nullptr ? inj->lowest_live() : 0;
-      if (p.rank == recorder) {
-        shared.directions.push_back(dir);
-        shared.visited += nf;
+      nf = rt::allreduce_sum(p, world, fr.discovered, sim::Phase::stall);
+      mf = rt::allreduce_sum(p, world, fr.discovered_edges, sim::Phase::stall);
+      rem = rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
+    };
+    hooks.finish = [&](const bfs::Level& lv) {
+      if (lv.recorder) {
+        out.directions.push_back(dir);
+        out.visited += nf;
         shared.frontier_sizes.push_back(prev_nf);
         shared.discovered.push_back(nf);
         shared.expand_codec.push_back(cur_legs.expand_codec);
         shared.fold_coded.push_back(cur_legs.fold_coded ? 1 : 0);
       }
-      const std::uint64_t frontier_prev_count = prev_nf;
+      const bool growing = nf > prev_nf;
       prev_nf = nf;
 
-      if (nf == 0) {
+      const auto record_level = [&] {
         rank_levels[static_cast<std::size_t>(p.rank)].push_back(cur_legs);
-        p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                     p.clock.now_ns(),
+        p.trace_span(obs::kCatBfs, "level " + std::to_string(lv.number),
+                     lv.t0, p.clock.now_ns(),
                      obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
                          obs::kv("discovered", nf));
-        break;
+      };
+      if (nf == 0) {
+        record_level();
+        return false;
       }
 
-      // Next direction (Beamer, with the 1-D's growing-frontier guard).
-      const bool growing = nf > frontier_prev_count;
-      int next = dir;
-      if (opt.direction == bfs::Direction::hybrid) {
-        if (dir == 0 && growing &&
-            static_cast<double>(mf) > static_cast<double>(rem) / opt.alpha)
-          next = 1;
-        else if (dir == 1 && static_cast<double>(nf) <
-                                 static_cast<double>(g.n()) / opt.beta)
-          next = 0;
-      }
+      const int next = opt.direction == bfs::Direction::hybrid
+                           ? beamer.next(dir, growing, nf, mf, rem, g.n())
+                           : dir;
 
       ex.reset_legs();
-      const bfs::ExchangeLevelStats exs = ex.exchange(p, dir, next, parts);
+      const bfs::ExchangeLevelStats exs = ex.exchange(p, dir, next, lv.parts);
       my_expand_sum += ex.last_expand_ns();
       p.trace_instant(obs::kCatBfs, "codec.gate",
-                      obs::kv("level", level) + "," +
+                      obs::kv("level", lv.number) + "," +
                           obs::kv("kind", graph::codec::to_string(exs.codec)) +
                           "," + obs::kv("wire_bytes", exs.wire_bytes) + "," +
                           obs::kv("raw_bytes", exs.raw_bytes));
@@ -529,45 +482,23 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       in_legs.expand_wire = exl.expand_wire;
       in_legs.expand_raw = exl.expand_raw;
       in_legs.expand_codec = exl.expand_codec;
-      rank_levels[static_cast<std::size_t>(p.rank)].push_back(cur_legs);
-      p.trace_span(obs::kCatBfs, "level " + std::to_string(level), level_t0,
-                   p.clock.now_ns(),
-                   obs::kv("dir", dir == 0 ? "td" : "bu") + "," +
-                       obs::kv("discovered", nf));
+      record_level();
       dir = next;
-      ++level;
-    }
+      return true;
+    };
 
-    p.barrier(world, sim::Phase::stall);
-    if (p.rank == (inj != nullptr ? inj->lowest_live() : 0)) {
+    loop.run(p, 0, hooks);
+    if (p.rank == loop.recorder()) {
       shared.expand_ns_sum = my_expand_sum;
       shared.fold_ns_sum = my_fold_sum;
     }
   });
 
   // --- aggregate (host side) -------------------------------------------
-  Bfs2dResult out;
-  const auto& profiles = c.profiles();
-  double max_total = 0;
-  for (const auto& pr : profiles)
-    max_total = std::max(max_total, pr.total_ns());
-  out.time_ns = max_total;
-  out.visited = shared.visited;
-  out.directions = shared.directions;
-  out.levels = static_cast<int>(shared.directions.size());
-  for (int d : shared.directions) (d == 0 ? out.td_levels : out.bu_levels)++;
-  out.recoveries = recoveries.load(std::memory_order_relaxed);
-  out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-
-  sim::PhaseProfile sum;
-  sim::PhaseProfile mx;
-  for (const auto& pr : profiles) {
-    sum += pr;
-    mx.max_with(pr);
-  }
-  out.profile_avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
-  out.profile_avg.counters() = sum.counters();
-  out.profile_max = mx;
+  const bfs::LoopTotals tot = loop.totals(out.directions);
+  tot.copy_to(out);
+  out.time_ns = tot.time_ns;
+  out.profile_max = tot.profile_max;
 
   std::uint64_t traversed = 0;
   for (int r = 0; r < np; ++r)
@@ -581,11 +512,11 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
         shared.fold_ns_sum / static_cast<double>(out.levels);
   }
 
-  out.trace.reserve(shared.directions.size());
-  for (std::size_t lvl = 0; lvl < shared.directions.size(); ++lvl) {
+  out.trace.reserve(out.directions.size());
+  for (std::size_t lvl = 0; lvl < out.directions.size(); ++lvl) {
     Level2dTrace t;
     t.level = static_cast<int>(lvl);
-    t.direction = shared.directions[lvl];
+    t.direction = out.directions[lvl];
     t.frontier_vertices = shared.frontier_sizes[lvl];
     t.discovered = shared.discovered[lvl];
     t.expand_codec = shared.expand_codec[lvl];

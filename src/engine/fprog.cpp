@@ -1,17 +1,15 @@
 #include "engine/fprog.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
+#include "bfs/direction.hpp"
+#include "bfs/level_loop.hpp"
 #include "engine/exchange_core.hpp"
-#include "faults/errors.hpp"
 #include "graph/codec.hpp"
 #include "runtime/allgather.hpp"
-#include "runtime/coll_model.hpp"
 
 namespace numabfs::engine {
 
@@ -256,7 +254,6 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
           "run_program: resume checkpoint missing or built for another shape");
   }
   ProgramCheckpoint* xp = opts.export_to;
-  const int export_every = std::max(1, opts.export_every);
   if (xp != nullptr) {
     xp->valid = false;
     xp->val_out.assign(static_cast<std::size_t>(c.nranks()), {});
@@ -276,71 +273,45 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
     costs[static_cast<std::size_t>(r)] = bfs::unit_costs(c, cfg, sz);
   }
 
-  faults::FaultInjector* inj = c.injector();
-  if (inj != nullptr && inj->has_crashes() && !inj->checkpointing())
-    throw faults::FaultError(
-        "run_program: the fault plan schedules rank crashes but "
-        "checkpointing is disabled (checkpoint:off); the program could not "
-        "be recovered");
-  const bool ckpt_on = inj != nullptr && inj->checkpointing();
+  bfs::LevelLoop loop(c, {.who = "run_program",
+                          .trace_cat = obs::kCatEngine,
+                          .level_base = 1,
+                          .max_level = opts.max_levels,
+                          .abort_at_ns = opts.abort_at_ns,
+                          .export_every = opts.export_every,
+                          .export_instant = "prog.ckpt"});
   // Boundary checkpoints hold each partition's val_out — unlike the wave's
   // seen-only checkpoints, program values are not generally idempotent
   // (PageRank accumulates residuals), so a level re-run needs the values
   // exactly as the boundary left them. Out bits are always zero at a
   // boundary (the exchange wipes them) and need no saving.
-  std::vector<std::vector<Value>> ckpt(
-      ckpt_on && ps.with_values() ? static_cast<std::size_t>(c.nranks()) : 0);
-  std::atomic<int> recoveries{0};
+  std::vector<std::vector<Value>> ckpt(static_cast<std::size_t>(c.nranks()));
+  // The wave's lane cost model, fed by the program's reduced statistics:
+  // push ~ frontier-word stream + the frontier's real edges, pull ~ the
+  // in-play vertices' adjacency with per-edge frontier probes.
+  const bfs::LaneCostModel model{static_cast<double>(dg.n),
+                                 static_cast<double>(c.nranks()),
+                                 static_cast<double>(cfg.summary_granularity),
+                                 costs[0]};
 
-  struct Shared {
-    std::vector<int> directions;
-    std::vector<std::uint64_t> final_scalars;
-    ProgStats last;
-    bool converged = false;
-    bool aborted = false;
-    double abort_ns = 0;
-  } shared;
+  // Recorder-written: the per-level directions and the level records.
+  std::vector<int> directions;
+  ProgramResult res;
+  res.epoch = opts.epoch;
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];
     rt::Comm& world = c.world();
-    std::vector<int> parts{p.rank};
+    const std::vector<int> own{p.rank};
     const std::uint64_t block = ps.block();
 
     std::vector<std::uint64_t> scalars(
         static_cast<std::size_t>(prog.scalar_count()));
-
-    // The wave's cost-model direction choice, fed by the program's reduced
-    // statistics: push ~ frontier-word stream + the frontier's real edges,
-    // pull ~ the in-play vertices' adjacency with per-edge frontier probes.
-    constexpr double kDenseEarlyBreak = 2.0;
-    const double n_d = static_cast<double>(dg.n);
-    const double np_d = static_cast<double>(c.nranks());
-    const double g_d = static_cast<double>(cfg.summary_granularity);
-    const bfs::UnitCosts& u0 = costs[0];
-    struct Choice {
-      int dir;
-      bool use_summary;
-    };
-    const auto choose = [&](double mf_d, double nf_d, double needy_d,
-                            double mu_d) {
-      const double density = std::max(nf_d / n_d, 1e-12);
-      const double p_empty = std::pow(1.0 - std::min(density, 1.0), g_d);
-      const bool use_sum =
-          u0.summary_probe_ns < p_empty * u0.inqueue_probe_ns;
-      const double per_edge =
-          u0.edge_scan_ns +
-          (use_sum
-               ? u0.summary_probe_ns + (1.0 - p_empty) * u0.inqueue_probe_ns
-               : u0.inqueue_probe_ns);
-      const double est_scan =
-          std::min(mu_d, needy_d * kDenseEarlyBreak / density);
-      const double dense_est =
-          (n_d / np_d) * u0.word_stream_ns + est_scan / np_d * per_edge;
-      const double sparse_est =
-          n_d * u0.word_stream_ns + nf_d * u0.group_search_ns +
-          mf_d / np_d * (u0.edge_scan_ns + u0.visited_probe_ns);
-      return Choice{dense_est < sparse_est ? 1 : 0, use_sum};
+    const auto choose = [&](const ProgStats& rs) {
+      return model.choose(static_cast<double>(rs.frontier_edges),
+                          static_cast<double>(rs.changed),
+                          static_cast<double>(rs.needy),
+                          static_cast<double>(rs.mu));
     };
 
     const auto make_ctx = [&](int q) {
@@ -357,9 +328,8 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
                      &ps};
     };
 
-    int recorder = inj != nullptr ? inj->lowest_live() : 0;
-    Choice ch{0, false};
-    int level = 1;
+    bfs::LaneChoice ch;
+    int first_level = 1;
 
     if (rck == nullptr) {
       // Seed: wipe the replicas (one writer each), initialize the owned
@@ -386,19 +356,15 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
                                 (ps.with_values() ? 2 * block : block)));
       p.barrier(world, sim::Phase::other);
       const ProgStats rs = reduce_stats(p, world, st);
-      prog_exchange(p, ps, u, parts);
-      if (prog.direction_optimizing())
-        ch = choose(static_cast<double>(rs.frontier_edges),
-                    static_cast<double>(rs.changed),
-                    static_cast<double>(rs.needy),
-                    static_cast<double>(rs.mu));
+      prog_exchange(p, ps, u, own);
+      if (prog.direction_optimizing()) ch = choose(rs);
     } else {
       // Failover resume: owners reload val_out, each replica writer reloads
       // the checkpointed frontier (bits + values) and rebuilds its summary;
       // the control position and scalars come from the exporter.
       std::copy(rck->scalars.begin(), rck->scalars.end(), scalars.begin());
-      level = rck->level;
-      ch = Choice{rck->dir, rck->use_summary};
+      first_level = rck->level;
+      ch = bfs::LaneChoice{rck->dir, rck->use_summary};
       std::uint64_t words = 0;
       if (ps.with_values()) {
         auto vo = ps.val_out(p.rank);
@@ -435,78 +401,68 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
       p.charge(sim::Phase::other, u.stream_pass_ns(words));
       p.barrier(world, sim::Phase::other);
     }
-    int dir = ch.dir;
-    int handled_dead = 0;
 
-    while (true) {
-      const double level_t0 = p.clock.now_ns();
+    ProgStats rs;  // the level's reduced view: the kernel step fills it
 
-      // Replica-outage horizon, checked at clock-aligned points only (see
-      // run_wave): every rank observes the abort at the same level.
-      if (p.clock.now_ns() >= opts.abort_at_ns) {
-        if (p.rank == recorder) {
-          shared.aborted = true;
-          shared.abort_ns = p.clock.now_ns();
-        }
-        break;
+    bfs::LevelHooks hooks;
+    hooks.save = [&](int q) {
+      if (!ps.with_values()) return;
+      auto vo = ps.val_out(q);
+      ckpt[static_cast<std::size_t>(q)].assign(vo.begin(), vo.end());
+      p.charge(sim::Phase::other,
+               costs[static_cast<std::size_t>(q)].stream_pass_ns(vo.size()));
+    };
+    hooks.restore = [&](int q) {
+      std::uint64_t words = 0;
+      if (ps.with_values()) {
+        auto vo = ps.val_out(q);
+        const auto& saved = ckpt[static_cast<std::size_t>(q)];
+        std::memcpy(vo.data(), saved.data(), saved.size() * sizeof(Value));
+        words += vo.size();
       }
-      if (level > opts.max_levels) break;  // diverged: converged stays false
-
-      // Cross-replica epoch export (the failover unit), strictly before the
-      // crash point: an exported epoch always describes a pre-death state.
-      if (xp != nullptr && (level - 1) % export_every == 0) {
-        for (int q : parts) {
-          const auto qi = static_cast<std::size_t>(q);
-          if (ps.with_values()) {
-            auto vo = ps.val_out(q);
-            xp->val_out[qi].assign(vo.begin(), vo.end());
-            p.charge(sim::Phase::other, costs[qi].stream_pass_ns(vo.size()));
-          }
+      auto out = ps.out_bits(q);
+      std::memset(out.data(), 0, out.size() * 8);
+      ps.out_summary(q).bits().reset();
+      words += out.size();
+      p.charge(sim::Phase::other,
+               costs[static_cast<std::size_t>(q)].stream_pass_ns(words));
+    };
+    // Cross-replica epoch export (the failover unit): owners persist
+    // val_out, the recorder one frontier replica and the control position.
+    if (xp != nullptr) {
+      hooks.export_part = [&](int q) {
+        if (!ps.with_values()) return;
+        const auto qi = static_cast<std::size_t>(q);
+        auto vo = ps.val_out(q);
+        xp->val_out[qi].assign(vo.begin(), vo.end());
+        p.charge(sim::Phase::other, costs[qi].stream_pass_ns(vo.size()));
+      };
+      hooks.export_shared = [&](int level) {
+        auto f = ps.frontier(p.rank);
+        xp->frontier.assign(f.begin(), f.end());
+        if (ps.with_values()) {
+          auto v = ps.values(p.rank);
+          xp->values.assign(v.begin(), v.end());
         }
-        if (p.rank == recorder) {
-          auto f = ps.frontier(p.rank);
-          xp->frontier.assign(f.begin(), f.end());
-          if (ps.with_values()) {
-            auto v = ps.values(p.rank);
-            xp->values.assign(v.begin(), v.end());
-          }
-          xp->scalars.assign(scalars.begin(), scalars.end());
-          xp->level = level;
-          xp->dir = dir;
-          xp->use_summary = ch.use_summary;
-          xp->epoch = opts.epoch;
-          xp->valid = true;
-          p.charge(sim::Phase::other, u.stream_pass_ns(f.size()));
-        }
-        p.barrier(world, sim::Phase::stall);
-        if (p.rank == recorder)
-          p.trace_instant(obs::kCatEngine, "prog.ckpt",
-                          obs::kv("level", level));
-      }
-
-      // Level boundary: local checkpoint, then die if scheduled.
-      if (ckpt_on && ps.with_values())
-        for (int q : parts) {
-          auto vo = ps.val_out(q);
-          ckpt[static_cast<std::size_t>(q)].assign(vo.begin(), vo.end());
-          p.charge(sim::Phase::other,
-                   costs[static_cast<std::size_t>(q)].stream_pass_ns(
-                       vo.size()));
-        }
-      if (inj != nullptr && inj->crash_level(p.rank) == level - 1) {
-        inj->mark_dead(p.rank);
-        c.retire_rank(p);
-        return;
-      }
-
+        xp->scalars.assign(scalars.begin(), scalars.end());
+        xp->level = level;
+        xp->dir = ch.dir;
+        xp->use_summary = ch.use_summary;
+        xp->epoch = opts.epoch;
+        xp->valid = true;
+        p.charge(sim::Phase::other, u.stream_pass_ns(f.size()));
+        return obs::kv("level", level);
+      };
+    }
+    hooks.kernel = [&](const bfs::Level& lv) {
       ProgStats st;
       st.min_word = kProgInf;
-      for (int q : parts) {
+      for (int q : lv.parts) {
         PartCtx ctx = make_ctx(q);
-        const ProgStats qs = prog.advance(query, ctx, scalars, level, dir,
-                                          ch.use_summary);
+        const ProgStats qs = prog.advance(query, ctx, scalars, lv.number,
+                                          ch.dir, ch.use_summary);
         charge_advance(p, costs[static_cast<std::size_t>(q)],
-                       dg.locals[static_cast<std::size_t>(q)], ps, qs, dir,
+                       dg.locals[static_cast<std::size_t>(q)], ps, qs, ch.dir,
                        ch.use_summary);
         st.add(qs);
         // The owned post-scan (min/needy/mu measurement), charged like the
@@ -515,109 +471,41 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
                  costs[static_cast<std::size_t>(q)].stream_pass_ns(
                      2 * dg.locals[static_cast<std::size_t>(q)].owned()));
       }
-
-      const ProgStats rs = reduce_stats(p, world, st);
-
-      // Crash detection: survivors adopt the dead partitions, roll val_out
-      // back to the boundary checkpoint, and re-run the level.
-      if (inj != nullptr && inj->dead_count() > handled_dead) {
-        handled_dead = inj->dead_count();
-        const std::size_t owned_before = parts.size();
-        parts = inj->parts_of(p.rank);
-        if (parts.size() > owned_before)
-          p.prof.counters().adoptions += parts.size() - owned_before;
-        for (int q : parts) {
-          std::uint64_t words = 0;
-          if (ps.with_values()) {
-            auto vo = ps.val_out(q);
-            const auto& saved = ckpt[static_cast<std::size_t>(q)];
-            std::memcpy(vo.data(), saved.data(),
-                        saved.size() * sizeof(Value));
-            words += vo.size();
-          }
-          auto out = ps.out_bits(q);
-          std::memset(out.data(), 0, out.size() * 8);
-          ps.out_summary(q).bits().reset();
-          words += out.size();
-          p.charge(sim::Phase::other,
-                   costs[static_cast<std::size_t>(q)].stream_pass_ns(words));
-        }
-        if (p.rank == inj->lowest_live())
-          recoveries.fetch_add(1, std::memory_order_relaxed);
-        p.barrier(world, sim::Phase::stall);
-        p.trace_span(obs::kCatEngine, "recovery.rollback", level_t0,
-                     p.clock.now_ns(),
-                     obs::kv("level", level) + "," +
-                         obs::kv("parts", static_cast<int>(parts.size())));
-        continue;  // re-run the level; scalars never advanced
-      }
-      recorder = inj != nullptr ? inj->lowest_live() : 0;
-
-      if (p.clock.now_ns() >= opts.abort_at_ns) {
-        if (p.rank == recorder) {
-          shared.aborted = true;
-          shared.abort_ns = p.clock.now_ns();
-        }
-        break;
-      }
-
+      rs = reduce_stats(p, world, st);
+    };
+    hooks.finish = [&](const bfs::Level& lv) {
       // Every rank evolves its scalar copy from the identical reduced view.
-      const bool conv = prog.post_level(scalars, rs, level);
-      if (p.rank == recorder) {
-        shared.directions.push_back(dir);
-        shared.last = rs;
+      const bool conv = prog.post_level(scalars, rs, lv.number);
+      if (lv.recorder) {
+        directions.push_back(ch.dir);
+        res.last = rs;
       }
       p.trace_span(obs::kCatEngine,
                    std::string(prog.name()) + " level " +
-                       std::to_string(level),
-                   level_t0, p.clock.now_ns(),
-                   obs::kv("dir", dir == 1 ? "pull" : "push") + "," +
+                       std::to_string(lv.number),
+                   lv.t0, p.clock.now_ns(),
+                   obs::kv("dir", ch.dir == 1 ? "pull" : "push") + "," +
                        obs::kv("changed", rs.changed));
       if (conv) {
-        if (p.rank == recorder) {
-          shared.converged = true;
-          shared.final_scalars.assign(scalars.begin(), scalars.end());
-        }
-        break;
+        if (lv.recorder) res.converged = true;
+        return false;
       }
 
-      prog_exchange(p, ps, u, parts);
+      prog_exchange(p, ps, u, lv.parts);
+      if (prog.direction_optimizing()) ch = choose(rs);
+      return true;
+    };
 
-      if (prog.direction_optimizing()) {
-        ch = choose(static_cast<double>(rs.frontier_edges),
-                    static_cast<double>(rs.changed),
-                    static_cast<double>(rs.needy),
-                    static_cast<double>(rs.mu));
-        dir = ch.dir;
-      }
-      ++level;
-    }
-
-    p.barrier(world, sim::Phase::stall);
+    loop.run(p, first_level, hooks);
   });
 
-  ProgramResult out;
-  out.epoch = opts.epoch;
-  const auto& profiles = c.profiles();
-  double max_total = 0;
-  sim::PhaseProfile sum;
-  for (const auto& pr : profiles) {
-    max_total = std::max(max_total, pr.total_ns());
-    sum += pr;
-  }
-  out.total_ns = max_total;
-  out.profile_avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
-  out.profile_avg.counters() = sum.counters();
-  out.levels = static_cast<int>(shared.directions.size());
-  for (int d : shared.directions) (d == 0 ? out.td_levels : out.bu_levels)++;
-  out.converged = shared.converged;
-  out.last = shared.last;
-  out.recoveries = recoveries.load(std::memory_order_relaxed);
-  out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-  out.aborted = shared.aborted;
-  out.abort_ns = shared.abort_ns;
-  out.value = prog.final_value(query, dg, ps, shared.last);
-  return out;
+  const bfs::LoopTotals tot = loop.totals(directions);
+  tot.copy_to(res);
+  res.total_ns = tot.time_ns;
+  res.aborted = loop.aborted();
+  res.abort_ns = loop.abort_ns();
+  res.value = prog.final_value(query, dg, ps, res.last);
+  return res;
 }
 
 std::vector<Value> gather_values(const graph::DistGraph& dg,

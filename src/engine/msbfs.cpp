@@ -1,23 +1,17 @@
 #include "engine/msbfs.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
+#include "bfs/direction.hpp"
+#include "bfs/level_loop.hpp"
 #include "engine/exchange_core.hpp"
-#include "faults/errors.hpp"
 #include "graph/codec.hpp"
 #include "runtime/allgather.hpp"
-#include "runtime/coll_model.hpp"
 
 namespace numabfs::engine {
-
-namespace cm = rt::coll_model;
 
 const char* to_string(QueryKind k) {
   switch (k) {
@@ -82,8 +76,6 @@ struct LevelStats {
   std::uint64_t discovered_vertices = 0;  ///< vertices entering any frontier
   std::uint64_t frontier_edges = 0;  ///< degree sum of discovering vertices
   std::uint64_t or_mask = 0;         ///< union of discovered lane words
-  std::uint64_t scanned = 0;         ///< edges the kernel actually scanned
-  std::uint64_t zero_probes = 0;     ///< scans that found no needed lane
 };
 
 /// Words streamed by one wave reset of partition `part` (seen + dist +
@@ -140,10 +132,7 @@ LevelStats dense_level(rt::Proc& p, const graph::LocalGraph& lg,
       }
       ++in_probes;
       const std::uint64_t fw = frontier[uu] & need;
-      if (fw == 0) {
-        ++res.zero_probes;
-        continue;
-      }
+      if (fw == 0) continue;
       newbits |= fw;
       need &= ~fw;
       if (parents) {
@@ -176,7 +165,6 @@ LevelStats dense_level(rt::Proc& p, const graph::LocalGraph& lg,
     res.frontier_edges += lg.degree(lv);
   }
 
-  res.scanned = edges;
   const std::uint64_t dprobes = lg.take_patch_reads();
   auto& cnt = p.prof.counters();
   cnt.edges_scanned += edges;
@@ -262,7 +250,6 @@ LevelStats sparse_level(rt::Proc& p, const graph::LocalGraph& lg,
     }
   }
 
-  res.scanned = edges;
   const std::uint64_t dprobes = lg.take_patch_reads();
   auto& cnt = p.prof.counters();
   cnt.edges_scanned += edges;
@@ -533,7 +520,6 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
           "active lanes");
   }
   WaveCheckpoint* xp = opts.export_to;
-  const int export_every = std::max(1, opts.export_every);
   if (xp != nullptr) {
     xp->valid = false;
     xp->seen.assign(static_cast<std::size_t>(c.nranks()), {});
@@ -556,87 +542,37 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
     costs[static_cast<std::size_t>(r)] = bfs::unit_costs(c, cfg, sz);
   }
 
-  faults::FaultInjector* inj = c.injector();
-  if (inj != nullptr && inj->has_crashes() && !inj->checkpointing())
-    throw faults::FaultError(
-        "run_wave: the fault plan schedules rank crashes but checkpointing "
-        "is disabled (checkpoint:off); the wave could not be recovered");
-  const bool ckpt_on = inj != nullptr && inj->checkpointing();
+  bfs::LevelLoop loop(c, {.who = "run_wave",
+                          .trace_cat = obs::kCatEngine,
+                          .level_base = 1,
+                          .abort_at_ns = opts.abort_at_ns,
+                          .export_every = opts.export_every,
+                          .export_instant = "wave.ckpt"});
   // seen-only checkpoints: distances/parents/out are rewritten with
   // identical values by a level re-run (the kernels are deterministic and
   // idempotent given the restored seen words), so only the discovery gate
   // needs saving. Indexed by partition; written by its current owner only.
   std::vector<std::vector<std::uint64_t>> ckpt(
-      ckpt_on ? static_cast<std::size_t>(c.nranks()) : 0);
-  std::atomic<int> recoveries{0};
+      static_cast<std::size_t>(c.nranks()));
+  const bfs::LaneCostModel model{static_cast<double>(dg.n),
+                                 static_cast<double>(c.nranks()),
+                                 static_cast<double>(cfg.summary_granularity),
+                                 costs[0]};
 
-  struct Shared {
-    std::vector<int> directions;  // 0 = sparse, 1 = dense, per level
-    std::vector<LaneResult> lanes;
-    bool aborted = false;  // written by the recorder, read host-side
-    double abort_ns = 0;
-    std::uint64_t unfinished = 0;
-  } shared;
-  shared.lanes.assign(static_cast<std::size_t>(nq), LaneResult{});
+  // Recorder-written: the per-level kernel choices (0 = sparse, 1 = dense)
+  // and the lane results.
+  std::vector<int> directions;
+  WaveResult out;
+  out.epoch = opts.epoch;
+  out.lanes.assign(static_cast<std::size_t>(nq), LaneResult{});
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];
     rt::Comm& world = c.world();
-    std::vector<int> parts{p.rank};
-
-    // Cost-model-driven kernel choice (replacing the scalar Beamer
-    // hysteresis, which the lane union breaks: 16 sources push the
-    // frontier's edge count over E/alpha one level early, when the union
-    // frontier is still far too sparse for the dense kernel). Each level
-    // the scheduler estimates both kernels' modeled cost from measured
-    // state and the simulator's own unit costs:
-    //   sparse ~ a frontier-word stream + the frontier's real edges;
-    //   dense  ~ the needy vertices' adjacency, discounted by the early
-    //            break — a needy vertex stops scanning once its lanes are
-    //            collected, after about kDenseEarlyBreak / density probes
-    //            at union-frontier density `density`.
-    // The same estimate decides whether the dense kernel consults the
-    // frontier summary: probing it on every edge only pays when the
-    // expected skips ((1-density)^granularity of the probes) outweigh the
-    // summary reads themselves. All ranks evaluate the formula on the same
-    // allreduced inputs with rank 0's unit costs, so the choice is
-    // identical everywhere.
-    constexpr double kDenseEarlyBreak = 2.0;
-    const double n_d = static_cast<double>(dg.n);
-    const double np_d = static_cast<double>(c.nranks());
-    const double g_d = static_cast<double>(cfg.summary_granularity);
-    const bfs::UnitCosts& u0 = costs[0];
-    struct Choice {
-      int dir;
-      bool use_summary;
-    };
-    const auto choose = [&](double mf_d, double nf_d, double needy_d,
-                            double mu_d) {
-      const double density = std::max(nf_d / n_d, 1e-12);
-      const double p_empty =
-          std::pow(1.0 - std::min(density, 1.0), g_d);
-      const bool use_sum =
-          u0.summary_probe_ns < p_empty * u0.inqueue_probe_ns;
-      const double per_edge =
-          u0.edge_scan_ns +
-          (use_sum ? u0.summary_probe_ns +
-                         (1.0 - p_empty) * u0.inqueue_probe_ns
-                   : u0.inqueue_probe_ns);
-      const double est_scan =
-          std::min(mu_d, needy_d * kDenseEarlyBreak / density);
-      const double dense_est =
-          (n_d / np_d) * u0.word_stream_ns + est_scan / np_d * per_edge;
-      const double sparse_est = n_d * u0.word_stream_ns +
-                                nf_d * u0.group_search_ns +
-                                mf_d / np_d *
-                                    (u0.edge_scan_ns + u0.visited_probe_ns);
-      return Choice{dense_est < sparse_est ? 1 : 0, use_sum};
-    };
 
     std::uint64_t active = nq == kMaxLanes ? ~0ull : (1ull << nq) - 1;
-    int recorder = inj != nullptr ? inj->lowest_live() : 0;
-    Choice ch{0, false};
-    int level = 1;  // kernel at level L discovers distance-L vertices
+    bfs::LaneChoice ch;
+    int first_level = 1;  // kernel at level L discovers distance-L vertices
 
     if (rck == nullptr) {
       reset_wave(p, dg, ws, queries, u);
@@ -650,8 +586,8 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
             (q.kind == QueryKind::k_hop && q.k == 0);
         if (!trivial) continue;
         active &= ~(1ull << l);
-        if (p.rank == recorder) {
-          auto& lr = shared.lanes[static_cast<std::size_t>(l)];
+        if (p.rank == loop.recorder()) {
+          auto& lr = out.lanes[static_cast<std::size_t>(l)];
           lr.finished = true;
           lr.complete_level = 0;
           lr.complete_ns = p.clock.now_ns();
@@ -671,107 +607,85 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
       }
       const std::uint64_t src_edges =
           rt::allreduce_sum(p, world, my_src_edges, sim::Phase::stall);
-      ch = choose(static_cast<double>(src_edges),
-                  static_cast<double>(std::popcount(active)), n_d,
-                  static_cast<double>(dg.directed_edges));
+      ch = model.choose(static_cast<double>(src_edges),
+                        static_cast<double>(std::popcount(active)),
+                        static_cast<double>(dg.n),
+                        static_cast<double>(dg.directed_edges));
     } else {
       // Failover resume: take over the checkpointed epoch — the surviving
       // lanes, wave position and kernel choice all come from the exporter.
       active = opts.resume_active != 0 ? opts.resume_active : rck->active;
-      level = rck->level;
-      ch = Choice{rck->dir, rck->use_summary};
+      first_level = rck->level;
+      ch = bfs::LaneChoice{rck->dir, rck->use_summary};
       import_wave(p, ws, *rck, u, active);
     }
-    int dir = ch.dir;
-    int handled_dead = 0;
-    while (active != 0) {
-      const double level_t0 = p.clock.now_ns();
 
-      // Replica-outage horizon: past `abort_at_ns` this replica makes no
-      // progress. Checked only at clock-aligned points (level entry, and
-      // the retirement boundary below) so every rank observes the abort at
-      // the same level and the wave stays bit-deterministic.
-      if (p.clock.now_ns() >= opts.abort_at_ns) {
-        if (p.rank == recorder) {
-          shared.aborted = true;
-          shared.abort_ns = p.clock.now_ns();
-          shared.unfinished = active;
-        }
-        break;
-      }
+    // Per-attempt level state: the kernel step fills it, finish reads it.
+    std::uint64_t mf = 0, nf = 0, needy = 0, mu = 0, nonempty = 0, hits = 0;
 
-      // Cross-replica epoch export: partition owners persist their
-      // seen/dist/parent, the recorder persists one replicated-frontier
-      // copy and the wave position. The closing barrier runs before the
-      // crash point below, so an exported epoch always describes a fully
-      // pre-death state, even when the exporting rank is the one dying.
-      if (xp != nullptr && (level - 1) % export_every == 0) {
-        for (int q : parts) {
-          const auto qi = static_cast<std::size_t>(q);
-          auto seen = ws.seen(q);
-          auto dist = ws.dist(q);
-          xp->seen[qi].assign(seen.begin(), seen.end());
-          xp->dist[qi].assign(dist.begin(), dist.end());
-          std::uint64_t words =
-              seen.size() + dist.size() * sizeof(Dist) / 8;
-          if (ws.track_parents()) {
-            auto parent = ws.parent(q);
-            xp->parent[qi].assign(parent.begin(), parent.end());
-            words += parent.size() * sizeof(graph::Vertex) / 8;
-          }
-          p.charge(sim::Phase::other, costs[qi].stream_pass_ns(words));
+    bfs::LevelHooks hooks;
+    hooks.save = [&](int q) {
+      auto seen = ws.seen(q);
+      ckpt[static_cast<std::size_t>(q)].assign(seen.begin(), seen.end());
+      p.charge(sim::Phase::other,
+               costs[static_cast<std::size_t>(q)].stream_pass_ns(seen.size()));
+    };
+    hooks.restore = [&](int q) {
+      auto seen = ws.seen(q);
+      const auto& saved = ckpt[static_cast<std::size_t>(q)];
+      std::memcpy(seen.data(), saved.data(), saved.size() * 8);
+      std::memset(ws.out(q).data(), 0, ws.out(q).size() * 8);
+      ws.out_summary(q).bits().reset();
+      p.charge(sim::Phase::other,
+               costs[static_cast<std::size_t>(q)].stream_pass_ns(
+                   seen.size() + ws.out(q).size()));
+    };
+    // Cross-replica epoch export: partition owners persist their
+    // seen/dist/parent, the recorder one replicated-frontier copy and the
+    // wave position.
+    if (xp != nullptr) {
+      hooks.export_part = [&](int q) {
+        const auto qi = static_cast<std::size_t>(q);
+        auto seen = ws.seen(q);
+        auto dist = ws.dist(q);
+        xp->seen[qi].assign(seen.begin(), seen.end());
+        xp->dist[qi].assign(dist.begin(), dist.end());
+        std::uint64_t words = seen.size() + dist.size() * sizeof(Dist) / 8;
+        if (ws.track_parents()) {
+          auto parent = ws.parent(q);
+          xp->parent[qi].assign(parent.begin(), parent.end());
+          words += parent.size() * sizeof(graph::Vertex) / 8;
         }
-        if (p.rank == recorder) {
-          auto frontier = ws.frontier(p.rank);
-          xp->frontier.assign(frontier.begin(), frontier.end());
-          xp->level = level;
-          xp->dir = dir;
-          xp->use_summary = ch.use_summary;
-          xp->active = active;
-          xp->epoch = opts.epoch;
-          xp->valid = true;
-          p.charge(sim::Phase::other, u.stream_pass_ns(frontier.size()));
-        }
-        p.barrier(world, sim::Phase::stall);  // epoch complete pre-death
-        if (p.rank == recorder)
-          p.trace_instant(obs::kCatEngine, "wave.ckpt",
-                          obs::kv("level", level) + "," +
-                              obs::kv("active", std::popcount(active)));
-      }
-
-      // Level boundary: checkpoint, then die if scheduled (the fail-stop
-      // model of bfs::run_bfs — the checkpoint completed, the crash hit
-      // afterwards). The injector's crash levels are 0-based from the
-      // first kernel, matching hybrid's level counter.
-      if (ckpt_on)
-        for (int q : parts) {
-          auto seen = ws.seen(q);
-          ckpt[static_cast<std::size_t>(q)].assign(seen.begin(), seen.end());
-          p.charge(sim::Phase::other,
-                   costs[static_cast<std::size_t>(q)].stream_pass_ns(
-                       seen.size()));
-        }
-      if (inj != nullptr && inj->crash_level(p.rank) == level - 1) {
-        inj->mark_dead(p.rank);
-        c.retire_rank(p);
-        return;
-      }
-
+        p.charge(sim::Phase::other, costs[qi].stream_pass_ns(words));
+      };
+      hooks.export_shared = [&](int level) {
+        auto frontier = ws.frontier(p.rank);
+        xp->frontier.assign(frontier.begin(), frontier.end());
+        xp->level = level;
+        xp->dir = ch.dir;
+        xp->use_summary = ch.use_summary;
+        xp->active = active;
+        xp->epoch = opts.epoch;
+        xp->valid = true;
+        p.charge(sim::Phase::other, u.stream_pass_ns(frontier.size()));
+        return obs::kv("level", level) + "," +
+               obs::kv("active", std::popcount(active));
+      };
+    }
+    hooks.kernel = [&](const bfs::Level& lv) {
       LevelStats ls;
-      for (int q : parts) {
+      for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<std::size_t>(q)];
         const bfs::UnitCosts& qu = costs[static_cast<std::size_t>(q)];
         const LevelStats qs =
-            dir == 1 ? dense_level(p, qlg, qu, ws, q, active,
-                                   static_cast<Dist>(level), ch.use_summary)
-                     : sparse_level(p, qlg, qu, ws, q, active,
-                                    static_cast<Dist>(level), dg.n);
-        ls.discovered_bits += qs.discovered_bits;
+            ch.dir == 1 ? dense_level(p, qlg, qu, ws, q, active,
+                                      static_cast<Dist>(lv.number),
+                                      ch.use_summary)
+                        : sparse_level(p, qlg, qu, ws, q, active,
+                                       static_cast<Dist>(lv.number), dg.n);
         ls.discovered_vertices += qs.discovered_vertices;
         ls.frontier_edges += qs.frontier_edges;
         ls.or_mask |= qs.or_mask;
-        ls.scanned += qs.scanned;
-        ls.zero_probes += qs.zero_probes;
       }
 
       // Direction inputs for the next level, measured from the real seen
@@ -780,13 +694,13 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
       // over seen + degrees per partition, charged as switch overhead.
       std::uint64_t my_needy = 0;
       std::uint64_t my_mu = 0;
-      for (int q : parts) {
+      for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<std::size_t>(q)];
         auto seen = ws.seen(q);
-        for (std::uint64_t lv = 0; lv < qlg.owned(); ++lv) {
-          if ((active & ~seen[lv]) != 0) {
+        for (std::uint64_t v = 0; v < qlg.owned(); ++v) {
+          if ((active & ~seen[v]) != 0) {
             ++my_needy;
-            my_mu += qlg.degree(lv);
+            my_mu += qlg.degree(v);
           }
         }
         p.charge(sim::Phase::switch_conv,
@@ -796,7 +710,7 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
 
       // s-t hits are detected at the target's owner.
       std::uint64_t my_hits = 0;
-      for (int q : parts) {
+      for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<std::size_t>(q)];
         auto seen = ws.seen(q);
         for (int l = 0; l < nq; ++l) {
@@ -809,78 +723,15 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
         }
       }
 
-      const std::uint64_t mf =
-          rt::allreduce_sum(p, world, ls.frontier_edges, sim::Phase::stall);
-      const std::uint64_t nf = rt::allreduce_sum(
-          p, world, ls.discovered_vertices, sim::Phase::stall);
-      const std::uint64_t needy =
-          rt::allreduce_sum(p, world, my_needy, sim::Phase::stall);
-      const std::uint64_t mu =
-          rt::allreduce_sum(p, world, my_mu, sim::Phase::stall);
-      const std::uint64_t nonempty =
-          rt::allreduce_or(p, world, ls.or_mask, sim::Phase::stall);
-      const std::uint64_t hits =
-          rt::allreduce_or(p, world, my_hits, sim::Phase::stall);
-
-      // Per-level traversal trace (stderr). The extra allreduces perturb
-      // the virtual clock, so this is for kernel diagnosis, not timing.
-      if (std::getenv("MSBFS_DEBUG") != nullptr) {
-        const std::uint64_t sc =
-            rt::allreduce_sum(p, world, ls.scanned, sim::Phase::stall);
-        const std::uint64_t zp =
-            rt::allreduce_sum(p, world, ls.zero_probes, sim::Phase::stall);
-        if (p.rank == 0)
-          std::fprintf(stderr,
-                       "level %d dir=%d scanned=%llu zero=%llu mf=%llu "
-                       "nf=%llu active=%d\n",
-                       level, dir, (unsigned long long)sc,
-                       (unsigned long long)zp, (unsigned long long)mf,
-                       (unsigned long long)nf, std::popcount(active));
-      }
-
-      // Crash detection point (see bfs::run_bfs): survivors adopt the dead
-      // partitions, roll seen back to the boundary checkpoint, and re-run
-      // the level; everything else this iteration computed is discarded.
-      if (inj != nullptr && inj->dead_count() > handled_dead) {
-        handled_dead = inj->dead_count();
-        const std::size_t owned_before = parts.size();
-        parts = inj->parts_of(p.rank);
-        if (parts.size() > owned_before)
-          p.prof.counters().adoptions += parts.size() - owned_before;
-        for (int q : parts) {
-          auto seen = ws.seen(q);
-          const auto& saved = ckpt[static_cast<std::size_t>(q)];
-          std::memcpy(seen.data(), saved.data(), saved.size() * 8);
-          std::memset(ws.out(q).data(), 0, ws.out(q).size() * 8);
-          ws.out_summary(q).bits().reset();
-          p.charge(sim::Phase::other,
-                   costs[static_cast<std::size_t>(q)].stream_pass_ns(
-                       seen.size() + ws.out(q).size()));
-        }
-        if (p.rank == inj->lowest_live())
-          recoveries.fetch_add(1, std::memory_order_relaxed);
-        p.barrier(world, sim::Phase::stall);  // rollback complete everywhere
-        p.trace_span(obs::kCatEngine, "recovery.rollback", level_t0,
-                     p.clock.now_ns(),
-                     obs::kv("level", level) + "," +
-                         obs::kv("parts", static_cast<int>(parts.size())));
-        continue;  // re-run the level (level/dir/prev_nf unchanged; the
-                   // frontier inputs were never touched)
-      }
-      recorder = inj != nullptr ? inj->lowest_live() : 0;
-
-      // Retirement-boundary abort check: a death mid-level voids this
-      // level's retirements — they would have completed after the replica
-      // stopped answering, so the front door must re-run those lanes.
-      if (p.clock.now_ns() >= opts.abort_at_ns) {
-        if (p.rank == recorder) {
-          shared.aborted = true;
-          shared.abort_ns = p.clock.now_ns();
-          shared.unfinished = active;
-        }
-        break;
-      }
-
+      mf = rt::allreduce_sum(p, world, ls.frontier_edges, sim::Phase::stall);
+      nf = rt::allreduce_sum(p, world, ls.discovered_vertices,
+                             sim::Phase::stall);
+      needy = rt::allreduce_sum(p, world, my_needy, sim::Phase::stall);
+      mu = rt::allreduce_sum(p, world, my_mu, sim::Phase::stall);
+      nonempty = rt::allreduce_or(p, world, ls.or_mask, sim::Phase::stall);
+      hits = rt::allreduce_or(p, world, my_hits, sim::Phase::stall);
+    };
+    hooks.finish = [&](const bfs::Level& lv) {
       // Retirement: s-t lanes on a hit, k-hop lanes at radius, any lane
       // whose frontier drained. Clocks are aligned here (the allreduces end
       // with a barrier), so the recorder's now is everyone's now.
@@ -891,70 +742,54 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
         const bool hit =
             q.kind == QueryKind::st_reachability && (hits >> l & 1);
         const bool drained = !(nonempty >> l & 1);
-        const bool radius = q.kind == QueryKind::k_hop && level >= q.k;
+        const bool radius = q.kind == QueryKind::k_hop && lv.number >= q.k;
         if (!hit && !drained && !radius) continue;
         retired |= 1ull << l;
-        if (p.rank == recorder) {
-          auto& lr = shared.lanes[static_cast<std::size_t>(l)];
+        if (lv.recorder) {
+          auto& lr = out.lanes[static_cast<std::size_t>(l)];
           lr.finished = true;
-          lr.complete_level = level;
+          lr.complete_level = lv.number;
           lr.complete_ns = p.clock.now_ns();
           lr.reached = hit;
           p.trace_instant(
               obs::kCatEngine, "lane.retire",
-              obs::kv("lane", l) + "," + obs::kv("level", level) + "," +
+              obs::kv("lane", l) + "," + obs::kv("level", lv.number) + "," +
                   obs::kv("reason",
                           hit ? "hit" : (drained ? "drained" : "radius")));
         }
       }
       active &= ~retired;
-      if (p.rank == recorder) shared.directions.push_back(dir);
+      if (lv.recorder) directions.push_back(ch.dir);
 
       const auto trace_level = [&] {
-        p.trace_span(obs::kCatEngine, "mslevel " + std::to_string(level),
-                     level_t0, p.clock.now_ns(),
-                     obs::kv("dir", dir == 1 ? "dense" : "sparse") + "," +
+        p.trace_span(obs::kCatEngine, "mslevel " + std::to_string(lv.number),
+                     lv.t0, p.clock.now_ns(),
+                     obs::kv("dir", ch.dir == 1 ? "dense" : "sparse") + "," +
                          obs::kv("active", std::popcount(active)));
       };
       if (active == 0) {  // retired lanes' stale bits never propagate:
         trace_level();    // every kernel masks frontier reads with the
-        break;            // (new) active mask
+        return false;     // (new) active mask
       }
 
-      wave_exchange(p, dg, ws, u, active, parts);
+      wave_exchange(p, dg, ws, u, active, lv.parts);
       trace_level();
 
-      // Next level's kernel, from the measured state (see `choose` above).
-      ch = choose(static_cast<double>(mf), static_cast<double>(nf),
-                  static_cast<double>(needy), static_cast<double>(mu));
-      dir = ch.dir;
-      ++level;
-    }
+      // Next level's kernel, from the measured state.
+      ch = model.choose(static_cast<double>(mf), static_cast<double>(nf),
+                        static_cast<double>(needy), static_cast<double>(mu));
+      return true;
+    };
 
-    p.barrier(world, sim::Phase::stall);
+    loop.run(p, first_level, hooks, active != 0);
+    if (p.rank == loop.recorder() && loop.aborted()) out.unfinished = active;
   });
 
-  WaveResult out;
-  out.epoch = opts.epoch;
-  const auto& profiles = c.profiles();
-  double max_total = 0;
-  sim::PhaseProfile sum;
-  for (const auto& pr : profiles) {
-    max_total = std::max(max_total, pr.total_ns());
-    sum += pr;
-  }
-  out.wave_ns = max_total;
-  out.profile_avg = sum.scaled(1.0 / static_cast<double>(profiles.size()));
-  // scaled() multiplies times only; counters in profile_avg stay summed.
-  out.profile_avg.counters() = sum.counters();
-  out.levels = static_cast<int>(shared.directions.size());
-  for (int d : shared.directions) (d == 0 ? out.td_levels : out.bu_levels)++;
-  out.recoveries = recoveries.load(std::memory_order_relaxed);
-  out.ranks_lost = inj != nullptr ? inj->dead_count() : 0;
-  out.aborted = shared.aborted;
-  out.abort_ns = shared.abort_ns;
-  out.unfinished = shared.unfinished;
-  out.lanes = std::move(shared.lanes);
+  const bfs::LoopTotals tot = loop.totals(directions);
+  tot.copy_to(out);
+  out.wave_ns = tot.time_ns;
+  out.aborted = loop.aborted();
+  out.abort_ns = loop.abort_ns();
 
   // Per-lane visited counts (host-side reporting; no virtual-time impact).
   for (int r = 0; r < c.nranks(); ++r) {

@@ -33,11 +33,9 @@
 /// exchange as the lane words: kernels mark per-partition out summaries,
 /// the exchange merges them into the replicated frontier summaries.
 ///
-/// Fault tolerance mirrors bfs::run_bfs: with a fault injector attached,
-/// `seen` words are checkpointed at level boundaries (distances/parents
-/// need no checkpoint — a level re-run rewrites them with identical
-/// values), a crash is survived by partition adoption + level re-run, and
-/// degraded links stretch the modeled exchange time.
+/// Fault tolerance: the LevelLoop protocol (DESIGN.md §6) over seen-only
+/// checkpoints (a level re-run rewrites distances/parents with identical
+/// values); degraded links stretch the modeled exchange time.
 
 #include <cstdint>
 #include <limits>

@@ -21,6 +21,8 @@
 #include <span>
 #include <vector>
 
+#include "bfs/direction.hpp"
+
 namespace numabfs::tune {
 
 /// Switching discipline shared by every knob.
@@ -61,7 +63,6 @@ class KnobArbiter {
     return cur_;
   }
 
-  int current() const { return cur_; }
   int switches() const { return switches_; }
 
  private:
@@ -133,14 +134,9 @@ class DirectionController {
              std::uint64_t rem, std::uint64_t unvisited_after,
              std::uint64_t n, double alpha, double beta) {
     if (!td_.ready() || !bu_.ready()) {
-      // Beamer thresholds (identical to the static hybrid test).
-      int next = cur_dir;
-      if (cur_dir == 0 && growing &&
-          static_cast<double>(mf) > static_cast<double>(rem) / alpha)
-        next = 1;
-      else if (cur_dir == 1 &&
-               static_cast<double>(nf) < static_cast<double>(n) / beta)
-        next = 0;
+      // The static hybrid's rule.
+      const int next =
+          bfs::Beamer{alpha, beta}.next(cur_dir, growing, nf, mf, rem, n);
       if (next != cur_dir) ++fallback_switches_;
       return next;
     }
@@ -158,65 +154,6 @@ class DirectionController {
   TrailingMean bu_;   ///< ns per unvisited vertex (bottom-up levels)
   KnobArbiter arb_;
   int fallback_switches_ = 0;
-};
-
-/// Per-level knob state for the frontier exchange: pipeline depth K and
-/// base allgather algorithm, decided from the trailing mean of the gate's
-/// *measured* per-chunk wire bytes (an allreduced quantity, so rank-
-/// uniform). The exchange evaluates its own closed-form collective models
-/// over the candidates and hands the cost vectors to the arbiters here.
-class ExchangeTuner {
- public:
-  ExchangeTuner(bool adapt_chunks, bool adapt_allgather, int window,
-                KnobPolicy pol, int base_k, int base_algo)
-      : adapt_chunks_(adapt_chunks),
-        adapt_allgather_(adapt_allgather),
-        chunk_bytes_(window) {
-    // Candidate ladders always contain the configured baseline so the
-    // controller's first decision is a no-op relative to the static config.
-    k_candidates_ = {1, 2, 4, 8, 16};
-    bool have_k = false;
-    for (size_t i = 0; i < k_candidates_.size(); ++i)
-      if (k_candidates_[i] == base_k) {
-        have_k = true;
-        k_arb_ = KnobArbiter(static_cast<int>(i), pol);
-      }
-    if (!have_k) {
-      k_candidates_.push_back(base_k);
-      k_arb_ = KnobArbiter(static_cast<int>(k_candidates_.size()) - 1, pol);
-    }
-    algo_candidates_ = {0, 1, 2};  // rt::AllgatherAlgo enumerator order
-    algo_arb_ = KnobArbiter(base_algo >= 0 && base_algo < 3 ? base_algo : 0,
-                            pol);
-  }
-
-  bool adapt_chunks() const { return adapt_chunks_; }
-  bool adapt_allgather() const { return adapt_allgather_; }
-
-  /// Record one exchange's measured mean wire chunk (from the codec gate).
-  void observe(std::uint64_t wire_chunk_bytes) {
-    chunk_bytes_.push(static_cast<double>(wire_chunk_bytes), 1.0);
-  }
-  bool ready() const { return chunk_bytes_.ready(); }
-  std::uint64_t trailing_chunk_bytes() const {
-    return static_cast<std::uint64_t>(chunk_bytes_.rate());
-  }
-
-  std::span<const int> k_candidates() const { return k_candidates_; }
-  std::span<const int> algo_candidates() const { return algo_candidates_; }
-  KnobArbiter& k_arbiter() { return k_arb_; }
-  KnobArbiter& algo_arbiter() { return algo_arb_; }
-  int k_switches() const { return k_arb_.switches(); }
-  int algo_switches() const { return algo_arb_.switches(); }
-
- private:
-  bool adapt_chunks_;
-  bool adapt_allgather_;
-  TrailingMean chunk_bytes_;
-  std::vector<int> k_candidates_;
-  std::vector<int> algo_candidates_;
-  KnobArbiter k_arb_;
-  KnobArbiter algo_arb_;
 };
 
 }  // namespace numabfs::tune

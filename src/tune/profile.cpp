@@ -295,9 +295,6 @@ bfs::Config parse_config(const JsonObject& o) {
   if (auto it = o.find("tune"); it != o.end()) {
     const JsonObject& t = it->second.obj("tune");
     c.tune.adapt_direction = get(t, "adapt_direction").boolean("adapt_direction");
-    c.tune.adapt_chunks = get(t, "adapt_chunks").boolean("adapt_chunks");
-    c.tune.adapt_allgather =
-        get(t, "adapt_allgather").boolean("adapt_allgather");
     c.tune.window = get_int(t, "window");
     c.tune.hysteresis = get(t, "hysteresis").number("hysteresis");
     c.tune.dwell = get_int(t, "dwell");
@@ -324,9 +321,6 @@ void append_config(std::ostringstream& os, const bfs::Config& c,
      << in2 << "\"exchange_chunks\": " << c.exchange_chunks << ",\n"
      << in2 << "\"tune\": {\"adapt_direction\": "
      << (c.tune.adapt_direction ? "true" : "false")
-     << ", \"adapt_chunks\": " << (c.tune.adapt_chunks ? "true" : "false")
-     << ", \"adapt_allgather\": "
-     << (c.tune.adapt_allgather ? "true" : "false")
      << ", \"window\": " << c.tune.window
      << ", \"hysteresis\": " << num(c.tune.hysteresis)
      << ", \"dwell\": " << c.tune.dwell << "}\n";

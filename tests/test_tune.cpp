@@ -88,22 +88,6 @@ TEST(DirectionController, FallsBackToBeamerUntilBothRatesReady) {
   EXPECT_EQ(d.decide(0, true, 10, 200, 4000, 100, 4096, 14.0, 24.0), 1);
 }
 
-TEST(ExchangeTuner, BaselineIsFirstChoice) {
-  tune::ExchangeTuner t(true, true, 3, {0.15, 2}, 4, 1);
-  // base_k=4 is in the ladder {1,2,4,8,16} at index 2.
-  EXPECT_EQ(t.k_candidates()[static_cast<size_t>(t.k_arbiter().current())], 4);
-  EXPECT_EQ(t.algo_arbiter().current(), 1);
-  // A base K outside the ladder is appended and selected.
-  tune::ExchangeTuner t2(true, false, 3, {0.15, 2}, 7, 0);
-  EXPECT_EQ(t2.k_candidates()[static_cast<size_t>(t2.k_arbiter().current())],
-            7);
-  EXPECT_FALSE(t.ready());
-  t.observe(1000);
-  EXPECT_TRUE(t.ready());
-  t.observe(3000);
-  EXPECT_EQ(t.trailing_chunk_bytes(), 2000u);
-}
-
 // ---------------------------------------------------------------------------
 // Coordinate descent
 // ---------------------------------------------------------------------------
@@ -201,6 +185,18 @@ TEST(TunedProfile, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(e.config.alpha, 7.0);
   EXPECT_TRUE(e.config.tune.adapt_direction);
   EXPECT_EQ(e.config.tune.dwell, p.entries[0].config.tune.dwell);
+
+  // Profiles written before the exchange tuner was removed carry its two
+  // flags; the reader ignores them and loads the same entry.
+  std::string old_text = p.json();
+  const std::string key = "\"tune\": {";
+  const std::size_t at = old_text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  old_text.insert(at + key.size(),
+                  "\"adapt_chunks\": true, \"adapt_allgather\": false, ");
+  const tune::TunedProfile old = tune::TunedProfile::parse(old_text);
+  ASSERT_EQ(old.entries.size(), 1u);
+  EXPECT_EQ(old.json(), p.json());
 }
 
 TEST(TunedProfile, RejectsMalformedAndWrongSchema) {
@@ -313,14 +309,6 @@ TEST(ConfigValidation, ContradictoryCombosGetActionableMessages) {
   k.exchange_chunks = 4;  // codec off: nothing to pipeline
   EXPECT_NE(k.validate().find("codec"), std::string::npos);
 
-  bfs::Config t = bfs::original();
-  t.tune.adapt_chunks = true;
-  EXPECT_NE(t.validate().find("codec"), std::string::npos);
-
-  bfs::Config a = bfs::share_all();
-  a.tune.adapt_allgather = true;
-  EXPECT_NE(a.validate().find("sharing"), std::string::npos);
-
   bfs::Config h = bfs::original();
   h.tune.hysteresis = 1.5;
   EXPECT_FALSE(h.validate().empty());
@@ -381,12 +369,9 @@ void expect_identical(const bfs::BfsRunResult& a, const bfs::BfsRunResult& b) {
   EXPECT_EQ(a.levels, b.levels);
   EXPECT_EQ(a.directions, b.directions);
   EXPECT_EQ(a.tune_direction_switches, b.tune_direction_switches);
-  EXPECT_EQ(a.tune_chunk_switches, b.tune_chunk_switches);
-  EXPECT_EQ(a.tune_allgather_switches, b.tune_allgather_switches);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].exchange_chunks, b.trace[i].exchange_chunks);
-    EXPECT_EQ(a.trace[i].exchange_algo, b.trace[i].exchange_algo);
+    EXPECT_EQ(a.trace[i].exchange_codec, b.trace[i].exchange_codec);
     EXPECT_EQ(a.trace[i].wire_bytes, b.trace[i].wire_bytes);
   }
 }
@@ -394,7 +379,6 @@ void expect_identical(const bfs::BfsRunResult& a, const bfs::BfsRunResult& b) {
 bfs::Config online_config() {
   bfs::Config c = bfs::compressed(64, 2);
   c.tune.adapt_direction = true;
-  c.tune.adapt_chunks = true;
   c.tune.window = 2;
   return c;
 }
@@ -411,10 +395,9 @@ TEST(OnlineControl, DeterministicAcrossReruns) {
   expect_identical(r1, r2);
   EXPECT_EQ(p1, p2);
 
-  // The sharing-none path adapts the allgather algorithm too.
+  // The sharing-none path too.
   bfs::Config none = bfs::original();
   none.tune.adapt_direction = true;
-  none.tune.adapt_allgather = true;
   const auto [n1, q1] = e.run_validated(none, b.roots[0]);
   const auto [n2, q2] = e.run_validated(none, b.roots[0]);
   expect_identical(n1, n2);
@@ -462,8 +445,6 @@ TEST(OnlineControl, DisabledControllersPerturbNothing) {
   expect_identical(r1, r2);
   EXPECT_EQ(p1, p2);
   EXPECT_EQ(r1.tune_direction_switches, 0);
-  EXPECT_EQ(r1.tune_chunk_switches, 0);
-  EXPECT_EQ(r1.tune_allgather_switches, 0);
 }
 
 TEST(OnlineControl, ProfileAppliedConfigMatchesManualBitForBit) {
@@ -493,7 +474,7 @@ TEST(OnlineControl, ProfileAppliedConfigMatchesManualBitForBit) {
 }
 
 TEST(OnlineControl, AdaptiveRunsStayCorrect) {
-  // Controllers may change directions/K/algo freely; the traversal result
+  // The controller may change directions freely; the traversal result
   // must still validate against the reference BFS tree on every root.
   const GraphBundle b = GraphBundle::make(12, 16, 5, 4);
   ExperimentOptions eo;
