@@ -1,8 +1,9 @@
 /// Kernel microbenchmarks (google-benchmark): the host-side primitives the
 /// simulator's wall-clock depends on — bitmap scans, summary rebuilds,
-/// copy_bits assembly, R-MAT generation and CSR construction. These measure
-/// *host* time (not virtual time); they guard against performance
-/// regressions in the simulator itself.
+/// copy_bits assembly, R-MAT generation, CSR construction and the 1-D slice
+/// and 2-D block builds. These measure *host* time (not virtual time); they
+/// guard against performance regressions in the simulator itself. ctest
+/// runs every one briefly as `smoke_bench_kernels`.
 
 #include <benchmark/benchmark.h>
 
@@ -10,9 +11,12 @@
 #include <random>
 #include <vector>
 
+#include "bfs2d/bfs2d.hpp"
 #include "graph/bitmap.hpp"
 #include "graph/codec.hpp"
 #include "graph/csr.hpp"
+#include "graph/dist_graph.hpp"
+#include "graph/partition.hpp"
 #include "graph/rmat.hpp"
 #include "graph/summary.hpp"
 
@@ -194,6 +198,38 @@ void BM_CsrBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(edges.size()));
 }
 BENCHMARK(BM_CsrBuild)->Arg(12)->Arg(16);
+
+Csr rmat_csr(benchmark::State& state) {
+  RmatParams p;
+  p.scale = static_cast<int>(state.range(0));
+  return Csr::from_edges(p.num_vertices(), rmat_edges(p));
+}
+
+void BM_DistGraphBuild(benchmark::State& state) {
+  const Csr g = rmat_csr(state);
+  const Partition1D part(g.num_vertices(), 128);
+  for (auto _ : state) {
+    const DistGraph d = DistGraph::build(g, part);
+    benchmark::DoNotOptimize(d.locals.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_directed_edges()));
+}
+BENCHMARK(BM_DistGraphBuild)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_Block2dBuild(benchmark::State& state) {
+  const Csr g = rmat_csr(state);
+  const numabfs::bfs2d::Grid2d grid(g.num_vertices(), 32, 32);
+  for (auto _ : state) {
+    const auto d = numabfs::bfs2d::DistGraph2d::build(g, grid);
+    benchmark::DoNotOptimize(d.blocks.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_directed_edges()));
+}
+BENCHMARK(BM_Block2dBuild)->Arg(16)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

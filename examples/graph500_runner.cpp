@@ -78,7 +78,8 @@ int main(int argc, char** argv) try {
                                               std::max(roots, 64));
     }
     std::cout << "generating scale-" << scale << " R-MAT graph...\n";
-    return harness::GraphBundle::make(scale, opt.get_int("edgefactor", 16),
+    return harness::GraphBundle::make(scale,
+                                      opt.get_int_min("edgefactor", 16, 1),
                                       opt.get_u64("seed", 20120924),
                                       std::max(roots, 64));
   }();

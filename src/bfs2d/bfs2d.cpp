@@ -3,15 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "bfs/direction.hpp"
 #include "bfs/level_loop.hpp"
 #include "bfs2d/exchange2d.hpp"
 #include "graph/bitmap.hpp"
+#include "graph/key_groups.hpp"
 #include "obs/trace.hpp"
 #include "runtime/allgather.hpp"
+#include "runtime/executor.hpp"
 
 namespace numabfs::bfs2d {
 
@@ -56,72 +60,95 @@ Grid2d Grid2d::make(std::uint64_t n, int np, int ppn) {
   return Grid2d(n, np / best_c, best_c);
 }
 
+namespace {
+
+/// The vertices [first, last) of row band `i` that the CSR has.
+std::pair<std::uint64_t, std::uint64_t> band_range(const Grid2d& grid, int i,
+                                                   std::uint64_t n) {
+  const std::uint64_t vb = std::min(grid.band_begin(i), n);
+  return {vb, std::min(vb + grid.band_bits(), n)};
+}
+
+/// Build the blocks, piece degrees and piece edge counts of row band `i`.
+/// `entries` and `scratch` are the calling worker's buffers, at least one
+/// band long.
+void build_band(const graph::Csr& g, DistGraph2d& dg, int i,
+                std::vector<std::uint64_t>& entries,
+                std::vector<std::uint64_t>& scratch) {
+  const Grid2d& grid = dg.grid;
+  const std::uint64_t n = g.num_vertices();
+  const auto [vb, ve] = band_range(grid, i, n);
+
+  // The band's pieces are those of ranks (i, 0..C-1).
+  for (int j = 0; j < grid.cols(); ++j) {
+    const int r = grid.rank_at(i, j);
+    auto& deg = dg.piece_deg[static_cast<std::size_t>(r)];
+    const std::uint64_t pb = grid.piece_begin(r);
+    const std::uint64_t pe = std::min(pb + grid.piece_bits(), n);
+    for (std::uint64_t v = pb; v < pe; ++v) {
+      deg[v - pb] = g.degree(static_cast<graph::Vertex>(v));
+      dg.owned_edges[static_cast<std::size_t>(r)] += deg[v - pb];
+    }
+  }
+
+  // Every directed entry (u -> v) with v in the band, keyed by source u and
+  // listed in v order. Sorting on u orders them by (u, v); as the column
+  // band of u is u / colband_bits, that also cuts them into the band's C
+  // blocks, each in top-down order.
+  const std::span<std::uint64_t> band(entries.data(),
+                                      g.offsets()[ve] - g.offsets()[vb]);
+  std::size_t k = 0;
+  for (std::uint64_t v = vb; v < ve; ++v)
+    for (graph::Vertex u : g.neighbors(static_cast<graph::Vertex>(v)))
+      band[k++] = graph::pack_entry(u, static_cast<graph::Vertex>(v));
+  graph::sort_by_key(band, scratch, 0, n);
+
+  auto it = band.begin();
+  for (int j = 0; j < grid.cols(); ++j) {
+    const std::uint64_t cb_end = grid.colband_begin(j + 1);
+    const auto end = std::partition_point(
+        it, band.end(),
+        [&](std::uint64_t e) { return graph::entry_key(e) < cb_end; });
+    const std::span<std::uint64_t> block(it, end);
+    it = end;
+    Block2d& blk = dg.blocks[static_cast<std::size_t>(grid.rank_at(i, j))];
+    graph::split_groups(block, blk.keys, blk.offsets, blk.targets);
+    // Bottom-up orientation: swap key and value, then a stable sort on the
+    // target keeps each target's sources in ascending order.
+    for (std::uint64_t& e : block) e = graph::swap_entry(e);
+    graph::sort_by_key(block, scratch, grid.band_begin(i), grid.band_bits());
+    graph::split_groups(block, blk.bu_keys, blk.bu_offsets, blk.bu_sources);
+  }
+}
+
+}  // namespace
+
 DistGraph2d DistGraph2d::build(const graph::Csr& g, const Grid2d& grid) {
+  if (g.num_vertices() != grid.n())
+    throw std::invalid_argument(
+        "DistGraph2d::build: the grid covers " + std::to_string(grid.n()) +
+        " vertices but the CSR has " + std::to_string(g.num_vertices()));
   DistGraph2d dg{grid, g.num_directed_edges(), {}, {}, {}};
-  const int np = grid.np();
-  const std::uint64_t piece = grid.piece_bits();
-  const std::uint64_t band = grid.band_bits();
-  const std::uint64_t cband = grid.colband_bits();
-  const std::uint64_t n = std::min<std::uint64_t>(g.num_vertices(), grid.n());
+  const auto np = static_cast<std::size_t>(grid.np());
+  dg.blocks.resize(np);
+  dg.piece_deg.assign(np, std::vector<std::uint64_t>(grid.piece_bits(), 0));
+  dg.owned_edges.assign(np, 0);
 
-  dg.piece_deg.assign(static_cast<std::size_t>(np),
-                      std::vector<std::uint64_t>(piece, 0));
-  dg.owned_edges.assign(static_cast<std::size_t>(np), 0);
-  for (std::uint64_t v = 0; v < n; ++v) {
-    const int r = grid.owner(v);
-    const std::uint64_t d = g.degree(static_cast<graph::Vertex>(v));
-    dg.piece_deg[static_cast<std::size_t>(r)][v - grid.piece_begin(r)] = d;
-    dg.owned_edges[static_cast<std::size_t>(r)] += d;
+  // Contiguous row-band ranges, one per worker. As in DistGraph::build,
+  // the workers' buffers are allocated on the calling thread.
+  const int rows = grid.rows();
+  std::uint64_t largest = 0;
+  for (int i = 0; i < rows; ++i) {
+    const auto [vb, ve] = band_range(grid, i, g.num_vertices());
+    largest = std::max(largest, g.offsets()[ve] - g.offsets()[vb]);
   }
-
-  // Single O(E) pass: bucket each directed entry (u -> v) into the block of
-  // (row of v, column of u). The CSR is symmetric, so both scan orientations
-  // below see every undirected edge.
-  std::vector<std::vector<graph::Edge>> buckets(static_cast<std::size_t>(np));
-  for (std::uint64_t v = 0; v < n; ++v) {
-    const int i = static_cast<int>(v / band);
-    for (graph::Vertex u : g.neighbors(static_cast<graph::Vertex>(v))) {
-      const int j = static_cast<int>(u / cband);
-      buckets[static_cast<std::size_t>(grid.rank_at(i, j))].push_back(
-          {u, static_cast<graph::Vertex>(v)});
-    }
-  }
-
-  dg.blocks.resize(static_cast<std::size_t>(np));
-  for (int r = 0; r < np; ++r) {
-    auto& pairs = buckets[static_cast<std::size_t>(r)];
-    Block2d& blk = dg.blocks[static_cast<std::size_t>(r)];
-    // Top-down orientation: grouped by source u.
-    std::sort(pairs.begin(), pairs.end(),
-              [](const graph::Edge& a, const graph::Edge& b) {
-                return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-    blk.targets.reserve(pairs.size());
-    for (const auto& e : pairs) {
-      if (blk.keys.empty() || blk.keys.back() != e.u) {
-        blk.keys.push_back(e.u);
-        blk.offsets.push_back(blk.targets.size());
-      }
-      blk.targets.push_back(e.v);
-    }
-    blk.offsets.push_back(blk.targets.size());
-    // Bottom-up orientation: grouped by target v.
-    std::sort(pairs.begin(), pairs.end(),
-              [](const graph::Edge& a, const graph::Edge& b) {
-                return a.v != b.v ? a.v < b.v : a.u < b.u;
-              });
-    blk.bu_sources.reserve(pairs.size());
-    for (const auto& e : pairs) {
-      if (blk.bu_keys.empty() || blk.bu_keys.back() != e.v) {
-        blk.bu_keys.push_back(e.v);
-        blk.bu_offsets.push_back(blk.bu_sources.size());
-      }
-      blk.bu_sources.push_back(e.u);
-    }
-    blk.bu_offsets.push_back(blk.bu_sources.size());
-    pairs.clear();
-    pairs.shrink_to_fit();
-  }
+  const int nw = std::min(rows, rt::exec::max_workers());
+  std::vector<std::vector<std::uint64_t>> buffers(
+      2 * static_cast<std::size_t>(nw), std::vector<std::uint64_t>(largest));
+  rt::exec::run(nw, [&](int w) {
+    for (int i = rows * w / nw; i < rows * (w + 1) / nw; ++i)
+      build_band(g, dg, i, buffers[2 * w], buffers[2 * w + 1]);
+  });
   return dg;
 }
 

@@ -123,6 +123,9 @@ struct DistGraph2d {
   /// Sum of the piece's degrees (the partition's share of Eq. (1)'s m).
   std::vector<std::uint64_t> owned_edges;
 
+  /// Block `g` over `grid`, row bands spread over the executor pool.
+  /// Throws std::invalid_argument when the grid and the CSR disagree on
+  /// the vertex count. Must not be called from inside a rank.
   static DistGraph2d build(const graph::Csr& g, const Grid2d& grid);
 };
 

@@ -10,8 +10,10 @@
 ///  - top-down view: the same pairs grouped by the non-owned endpoint u,
 ///    so a frontier vertex u's owned children are found in one group scan.
 ///
-/// Construction happens once, outside the timed region (Graph500 also
-/// excludes graph construction from TEPS).
+/// Construction is host work that no rank's virtual clock sees (Graph500
+/// also excludes graph construction from TEPS). It is not only set-up: the
+/// dynamic layer's compaction rebuilds the slices while queries are served
+/// (DESIGN.md §14), so its host cost lands on the serving path.
 ///
 /// Dynamic overlay (DESIGN.md §14). A LocalGraph can also be a *merged
 /// epoch view* over an immutable base slice: `base` points at the frozen
@@ -148,6 +150,9 @@ struct DistGraph {
   Partition1D part{1, 1};
   std::vector<LocalGraph> locals;
 
+  /// Slice `g` by `part`, ranks spread over the executor pool. Throws
+  /// std::invalid_argument when the partition and the CSR disagree on the
+  /// vertex count. Must not be called from inside a rank.
   static DistGraph build(const Csr& g, const Partition1D& part);
 };
 

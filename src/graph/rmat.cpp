@@ -1,6 +1,11 @@
 #include "graph/rmat.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
+
+#include "runtime/executor.hpp"
 
 namespace numabfs::graph {
 
@@ -11,13 +16,32 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+std::string RmatParams::validate() const {
+  if (scale < 1 || scale > 31)
+    return "scale must be in [1, 31]: vertex ids are 32-bit and 2^32-1 is "
+           "the no-vertex sentinel; got " +
+           std::to_string(scale);
+  if (edgefactor < 1)
+    return "edgefactor must be >= 1; got " + std::to_string(edgefactor);
+  if (!(a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0)) {
+    std::ostringstream os;
+    os << "a, b and c must be >= 0 with a + b + c < 1 (d = 1 - a - b - c); "
+          "got a="
+       << a << ", b=" << b << ", c=" << c;
+    return os.str();
+  }
+  return {};
+}
+
 namespace {
 
-/// Uniform double in [0,1) from a counter-based stream.
-double u01(std::uint64_t seed, std::uint64_t ctr) {
-  return static_cast<double>(splitmix64(seed ^ ctr * 0x2545f4914f6cdd1dull) >>
-                             11) *
-         (1.0 / 9007199254740992.0);  // 2^-53
+constexpr std::uint64_t kLabelKeySalt = 0xfeedfacecafebeefull;
+/// Edges per task of rmat_edges: enough to amortize a pool dispatch.
+constexpr std::uint64_t kEdgesPerTask = std::uint64_t{1} << 14;
+
+void check(const RmatParams& p) {
+  if (const std::string err = p.validate(); !err.empty())
+    throw std::invalid_argument("rmat: " + err);
 }
 
 /// Unbalanced Feistel network over `scale` bits: bijective for any round
@@ -43,47 +67,91 @@ Vertex feistel(std::uint64_t key, int scale, Vertex v) {
   return static_cast<Vertex>((l << h2) | r);
 }
 
+/// The constants of one R-MAT stream, derived once per call instead of
+/// once per edge.
+class Stream {
+ public:
+  explicit Stream(const RmatParams& p)
+      : seed_(p.seed),
+        scale_(p.scale),
+        permute_(p.permute_labels),
+        key_(splitmix64(p.seed ^ kLabelKeySalt)),
+        ta_(threshold(p.a)),
+        tab_(threshold(p.a + p.b)),
+        tabc_(threshold(p.a + p.b + p.c)) {}
+
+  /// Edge i: `scale` quadrant choices, each from a uniform draw in [0,1)
+  /// against the cumulative a, a+b, a+b+c; then both labels permuted.
+  Edge edge(std::uint64_t i) const {
+    const std::uint64_t eseed = splitmix64(seed_ + i);
+    std::uint64_t u = 0, v = 0;
+    for (int level = 0; level < scale_; ++level) {
+      const std::uint64_t k =
+          splitmix64(eseed ^ static_cast<std::uint64_t>(level) *
+                                 0x2545f4914f6cdd1dull) >>
+          11;
+      // Quadrants a, b, c, d set the bits (u, v) = 00, 01, 10, 11. Without
+      // branches: the draws are unpredictable by design.
+      const std::uint64_t ge_a = k >= ta_, ge_ab = k >= tab_,
+                          ge_abc = k >= tabc_;
+      u = u << 1 | ge_ab;
+      v = v << 1 | (ge_a ^ ge_ab ^ ge_abc);
+    }
+    return Edge{label(static_cast<Vertex>(u)), label(static_cast<Vertex>(v))};
+  }
+
+  Vertex label(Vertex v) const {
+    return permute_ ? feistel(key_, scale_, v) : v;
+  }
+
+ private:
+  /// The draw is x = k * 2^-53 for a 53-bit integer k, and both sides of
+  /// x < t scale by 2^53 exactly, so x < t is exactly k < ceil(t * 2^53).
+  static std::uint64_t threshold(double t) {
+    return static_cast<std::uint64_t>(std::ceil(t * 0x1p53));
+  }
+
+  std::uint64_t seed_;
+  int scale_;
+  bool permute_;
+  std::uint64_t key_;
+  std::uint64_t ta_, tab_, tabc_;
+};
+
 }  // namespace
 
 Vertex rmat_permute_label(const RmatParams& p, Vertex v) {
-  if (!p.permute_labels) return v;
-  return feistel(splitmix64(p.seed ^ 0xfeedfacecafebeefull), p.scale, v);
+  return Stream(p).label(v);
 }
 
 std::vector<Edge> rmat_edge_range(const RmatParams& p, std::uint64_t first,
                                   std::uint64_t count) {
-  assert(p.scale >= 1 && p.scale <= 31);
-  assert(p.a + p.b + p.c < 1.0);
+  check(p);
+  const Stream s(p);
   std::vector<Edge> edges;
   edges.reserve(count);
-  const double ab = p.a + p.b;
-  const double abc = p.a + p.b + p.c;
-  for (std::uint64_t i = first; i < first + count; ++i) {
-    const std::uint64_t eseed = splitmix64(p.seed + i);
-    std::uint64_t u = 0, v = 0;
-    for (int level = 0; level < p.scale; ++level) {
-      const double x = u01(eseed, static_cast<std::uint64_t>(level));
-      u <<= 1;
-      v <<= 1;
-      if (x < p.a) {
-        // top-left quadrant: no bits set
-      } else if (x < ab) {
-        v |= 1;
-      } else if (x < abc) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
-    }
-    edges.push_back(Edge{rmat_permute_label(p, static_cast<Vertex>(u)),
-                         rmat_permute_label(p, static_cast<Vertex>(v))});
-  }
+  for (std::uint64_t i = first; i < first + count; ++i)
+    edges.push_back(s.edge(i));
   return edges;
 }
 
 std::vector<Edge> rmat_edges(const RmatParams& p) {
-  return rmat_edge_range(p, 0, p.num_edges());
+  check(p);
+  const Stream s(p);
+  const std::uint64_t m = p.num_edges();
+  std::vector<Edge> edges(m);
+  const std::uint64_t tasks = (m + kEdgesPerTask - 1) / kEdgesPerTask;
+  const int nw = static_cast<int>(
+      std::min<std::uint64_t>(tasks, static_cast<std::uint64_t>(
+                                         rt::exec::max_workers())));
+  rt::exec::run(nw, [&](int w) {
+    const auto bound = [&](int k) {
+      return m * static_cast<std::uint64_t>(k) / static_cast<std::uint64_t>(nw);
+    };
+    for (std::uint64_t i = bound(w); i < bound(w + 1); ++i)
+      edges[i] = s.edge(i);
+  });
+  return edges;
 }
 
 }  // namespace numabfs::graph

@@ -7,8 +7,11 @@
 ///
 /// Generation is deterministic and splittable: edge i depends only on
 /// (seed, i), so any sub-range of edges can be produced independently.
+/// rmat_edges uses that to fill contiguous edge ranges on the executor
+/// pool; the output does not depend on how the range is split.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -26,13 +29,22 @@ struct RmatParams {
   std::uint64_t num_edges() const {
     return static_cast<std::uint64_t>(edgefactor) << scale;
   }
+
+  /// Check the parameters; returns an actionable error message, or empty
+  /// when they are valid. The generators throw std::invalid_argument on a
+  /// non-empty result.
+  std::string validate() const;
 };
 
-/// Generate edges [first, first+count) of the R-MAT stream.
+/// Generate edges [first, first+count) of the R-MAT stream, serially (the
+/// ingest generator draws one edge per call). Throws
+/// std::invalid_argument on invalid parameters.
 std::vector<Edge> rmat_edge_range(const RmatParams& p, std::uint64_t first,
                                   std::uint64_t count);
 
-/// Generate the full edge list.
+/// Generate the full edge list on the executor pool. Throws
+/// std::invalid_argument on invalid parameters; must not be called from
+/// inside a rank.
 std::vector<Edge> rmat_edges(const RmatParams& p);
 
 /// The label permutation used by the generator (exposed for tests:

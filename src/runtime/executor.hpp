@@ -1,6 +1,7 @@
 #pragma once
 /// \file executor.hpp
-/// The host executor that runs simulated ranks.
+/// The host executor that runs simulated ranks, and the host-side graph
+/// builders' parallel loops.
 ///
 /// Every rank of a `Cluster::run` is a user-space fiber on a process-wide
 /// pool of worker threads: one worker per CPU the process may run on,
@@ -21,6 +22,12 @@
 ///
 /// Fiber switches are annotated for ASan and TSan, so sanitizer builds run
 /// the same code path as every other build.
+///
+/// The graph builders (`rmat_edges`, `DistGraph::build`,
+/// `DistGraph2d::build`) use the same pool outside any simulation: each
+/// calls `run(min(tasks, max_workers()), ...)` and hands every fiber one
+/// contiguous range of edges, ranks or row bands. Such a body never parks,
+/// so each fiber runs start to finish on its own worker.
 
 #include <atomic>
 #include <functional>

@@ -238,5 +238,11 @@ TEST(GraphBundle, FromEdgesRejectsEmpty) {
   EXPECT_THROW(GraphBundle::from_edges(0, {}), std::invalid_argument);
 }
 
+TEST(GraphBundle, MakeRejectsInvalidRmatParameters) {
+  EXPECT_THROW(GraphBundle::make(32), std::invalid_argument);
+  EXPECT_THROW(GraphBundle::make(0), std::invalid_argument);
+  EXPECT_THROW(GraphBundle::make(12, -1), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace numabfs::harness

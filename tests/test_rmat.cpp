@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -113,6 +116,51 @@ TEST(Rmat, SomeVerticesIsolated) {
     isolated += g.degree(static_cast<Vertex>(v)) == 0;
   EXPECT_GT(isolated, 0u);
   EXPECT_LT(isolated, p.num_vertices() / 2);
+}
+
+TEST(Rmat, ValidateRejectsOutOfRangeParameters) {
+  // Scale 32 would need vertex id 2^32-1, the no-vertex sentinel; scale 64
+  // would shift by 64; a negative edgefactor would wrap to a huge count.
+  struct Case {
+    const char* field;
+    RmatParams p;
+  };
+  std::vector<Case> cases;
+  for (const int scale : {0, 32, 64}) {
+    cases.push_back({"scale", {}});
+    cases.back().p.scale = scale;
+  }
+  for (const int edgefactor : {0, -1}) {
+    cases.push_back({"edgefactor", {}});
+    cases.back().p.edgefactor = edgefactor;
+  }
+  const auto with = [](double a, double b, double c) {
+    RmatParams p;
+    p.a = a;
+    p.b = b;
+    p.c = c;
+    return Case{"a + b + c", p};
+  };
+  cases.push_back(with(-0.1, 0.19, 0.19));
+  cases.push_back(with(0.57, -0.1, 0.19));
+  cases.push_back(with(0.57, 0.19, -0.1));
+  cases.push_back(with(0.57, 0.19, 0.24));  // d = 0
+  cases.push_back(with(0.9, 0.19, 0.19));
+  cases.push_back(with(std::nan(""), 0.19, 0.19));
+  for (const Case& c : cases) {
+    const std::string err = c.p.validate();
+    EXPECT_NE(err.find(c.field), std::string::npos) << err;
+    EXPECT_THROW(rmat_edge_range(c.p, 0, 1), std::invalid_argument) << err;
+    EXPECT_THROW(rmat_edges(c.p), std::invalid_argument) << err;
+  }
+
+  RmatParams ok;
+  EXPECT_EQ(ok.validate(), "");
+  ok.scale = 31;  // the largest scale whose ids all fit below the sentinel
+  EXPECT_EQ(ok.validate(), "");
+  ok.scale = 1;
+  ok.edgefactor = 1;
+  EXPECT_EQ(rmat_edges(ok).size(), 2u);
 }
 
 TEST(Rmat, SplitMixAvalanche) {
