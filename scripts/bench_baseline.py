@@ -10,10 +10,15 @@ Usage:
   scripts/bench_baseline.py record [--build-dir build] [--out BENCH_baseline.json]
   scripts/bench_baseline.py check  [--build-dir build] [--baseline BENCH_baseline.json]
                                    [--tolerance 0.15] [--keep-metrics DIR]
+  scripts/bench_baseline.py diff   A B
 
 `record` runs the smoke benches and pins the current values; `check` reruns
 them and exits 1 if any pinned series regressed by more than the tolerance
 (TEPS/qps/speedup: lower is a regression; time/bytes: higher is one).
+`diff` compares every gauge and counter of two --keep-metrics directories
+(e.g. from two builds that must be bit-identical), prints each added,
+deleted and changed key with its exact values, and exits 1 on any
+difference.
 """
 
 import argparse
@@ -193,6 +198,38 @@ def check(args):
     print("[bench_baseline] all series within tolerance")
 
 
+def load_metrics_dir(path):
+    """Every gauge and counter of the metric files in `path`, keyed by
+    "<file>:<section>.<key>", with the values exactly as written."""
+    out = {}
+    for name in sorted(os.listdir(path)):
+        if not name.endswith(".json"):
+            continue
+        with open(os.path.join(path, name)) as f:
+            m = json.load(f)
+        for section in ("gauges", "counters"):
+            for k, v in m.get(section, {}).items():
+                out[f"{name}:{section}.{k}"] = v
+    return out
+
+
+def diff(args):
+    a, b = load_metrics_dir(args.a), load_metrics_dir(args.b)
+    added = sorted(b.keys() - a.keys())
+    deleted = sorted(a.keys() - b.keys())
+    changed = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
+    for k in added:
+        print(f"+ {k}: {b[k]!r}")
+    for k in deleted:
+        print(f"- {k}: {a[k]!r}")
+    for k in changed:
+        print(f"~ {k}: {a[k]!r} -> {b[k]!r}")
+    print(f"[bench_baseline] {len(a)} vs {len(b)} keys: {len(added)} added, "
+          f"{len(deleted)} deleted, {len(changed)} changed")
+    if added or deleted or changed:
+        sys.exit(1)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     sub = ap.add_subparsers(dest="mode", required=True)
@@ -208,7 +245,14 @@ def main():
         p.add_argument("--keep-metrics", default=None,
                        help="write per-bench metrics JSON here (e.g. for CI "
                             "artifacts) instead of a temp dir")
+    dif = sub.add_parser("diff", help="compare two --keep-metrics dirs "
+                                      "key by key; exit 1 on any difference")
+    dif.add_argument("a", help="metrics directory of the reference run")
+    dif.add_argument("b", help="metrics directory of the run to compare")
     args = ap.parse_args()
+    if args.mode == "diff":
+        diff(args)
+        return
     if args.keep_metrics:
         os.makedirs(args.keep_metrics, exist_ok=True)
     record(args) if args.mode == "record" else check(args)

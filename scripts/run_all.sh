@@ -43,7 +43,6 @@ run bench_ablation_2d --base-scale=$((11 + BOOST)) \
     --metrics="$OUT/bench_ablation_2d_metrics.json"
 run bench_ablation_compression --scale=$((20 + BOOST)) --svg="$OUT" \
     --metrics="$OUT/bench_ablation_compression_metrics.json"
-run bench_2d_bfs --scale=$((18 + BOOST))
 run bench_fault_tolerance --scale=$((16 + BOOST))
 run bench_query_engine --scale=$((17 + BOOST)) \
     --svg="$OUT/bench_query_engine_p95.svg" \

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/coll_model.hpp"
-
 namespace numabfs::bfs {
 
 namespace cm = rt::coll_model;
@@ -27,7 +25,176 @@ std::pair<std::uint64_t, std::uint64_t> summary_range(const DistState& st,
   return {sb, se};
 }
 
+/// Wipe partition `part`'s out_queue chunk and out_summary share for the
+/// next level. The owner wipes its share of the summary map (a private map
+/// whole, its word slice of a node map); an adopter clears a crashed
+/// owner's summary range.
+void clear_out_bits(rt::Proc& p, const graph::DistGraph& dg, DistState& st,
+                    const UnitCosts& u, sim::Phase phase, int part) {
+  const std::uint64_t block_bits = dg.part.block();
+  const std::uint64_t block_words = block_bits / 64;
+  auto out_q = st.out_queue(part);
+  const std::uint64_t off = static_cast<std::uint64_t>(part) * block_words;
+  std::memset(out_q.words().data() + off, 0, block_words * 8);
+
+  auto out_s = st.out_summary(part);
+  auto sw = out_s.bits().words();
+  if (part == p.rank && !st.shared_out()) {
+    // Private: only our own range was ever set; the whole map is tiny.
+    std::memset(sw.data(), 0, sw.size() * 8);
+    p.charge(phase, u.stream_pass_ns(block_words + sw.size()));
+    return;
+  }
+  if (part == p.rank) {
+    // Shared: the node's ranks wipe disjoint word slices of the node map.
+    const int ppn = p.ppn;
+    const std::size_t lo = sw.size() * static_cast<std::size_t>(p.local) /
+                           static_cast<std::size_t>(ppn);
+    const std::size_t hi = sw.size() * static_cast<std::size_t>(p.local + 1) /
+                           static_cast<std::size_t>(ppn);
+    std::memset(sw.data() + lo, 0, (hi - lo) * 8);
+    p.charge(phase, u.stream_pass_ns(block_words + (hi - lo)));
+    return;
+  }
+
+  // Unlike the healthy wipe (disjoint local slices of a node map), the dead
+  // owner's summary share has no other writer left, so the adopter clears
+  // exactly the partition's summary range.
+  const auto [sb, se] = summary_range(st, block_bits, part);
+  const faults::FaultInjector* inj = p.cluster->injector();
+  if (!st.shared_out() || inj == nullptr) {
+    out_s.bits().clear_range(sb, se);
+  } else {
+    // In a node map the live ranks are wiping their own word slices in
+    // this same phase, so the adopter clears only the part of the range
+    // inside dead ranks' slices: every word keeps one writer, and the map
+    // ends as if the whole range were cleared.
+    const std::uint64_t words = sw.size();
+    const auto ppn = static_cast<std::uint64_t>(p.ppn);
+    const int node = p.cluster->node_of(part);
+    for (int l = 0; l < p.ppn; ++l) {
+      if (!inj->dead(node * p.ppn + l)) continue;
+      const auto ul = static_cast<std::uint64_t>(l);
+      const std::uint64_t lo = std::max(sb, words * ul / ppn * 64);
+      const std::uint64_t hi = std::min(se, words * (ul + 1) / ppn * 64);
+      if (lo < hi) out_s.bits().clear_range(lo, hi);
+    }
+  }
+  p.charge(phase, u.stream_pass_ns(block_words + (se - sb + 63) / 64));
+}
+
+/// Direction-switch conversion (td -> bu): materialize partition `part`'s
+/// out_queue / out_queue_summary bits from this level's discovered list,
+/// so the bitmap exchange can build the next in_queue.
+void discovered_to_out_bits(rt::Proc& p, DistState& st, const UnitCosts& u,
+                            int part) {
+  auto out_q = st.out_queue(part);
+  auto out_s = st.out_summary(part);
+  const auto& discovered = st.discovered(part);
+  for (graph::Vertex v : discovered) {
+    out_q.set(v);
+    out_s.mark(v);
+  }
+  p.charge(sim::Phase::switch_conv,
+           static_cast<double>(discovered.size()) * 2.0 * u.write_ns /
+               u.omp_div);
+}
+
 }  // namespace
+
+ExchangePlan select_plan(const rt::Proc& p, const Config& cfg) {
+  const rt::Cluster& c = *p.cluster;
+  const faults::FaultInjector* inj = c.injector();
+  const bool degraded = inj != nullptr && inj->any_dead();
+  ExchangePlan plan;
+  if (cfg.sharing == Sharing::none || c.ppn() == 1)
+    plan.kind = PlanKind::library;
+  else if (cfg.sharing == Sharing::in_queue)
+    plan.kind = PlanKind::leader_gather;
+  else if (cfg.parallel_allgather && !degraded)
+    plan.kind = PlanKind::parallel;
+  else
+    plan.kind = PlanKind::leader;
+  plan.base_algo = cfg.base_algo;
+  plan.acts_leader = degraded ? p.local == inj->lowest_live_local(p.node)
+                              : p.is_node_leader();
+  plan.chunks = std::max(1, cfg.exchange_chunks);
+  plan.assemble_chunks = plan.kind == PlanKind::parallel
+                             ? static_cast<std::uint64_t>(c.topo().nodes())
+                             : static_cast<std::uint64_t>(c.nranks());
+  return plan;
+}
+
+cm::CollTimes plan_time(const rt::Cluster& c, const ExchangePlan& plan,
+                        std::uint64_t chunk_bytes) {
+  switch (plan.kind) {
+    case PlanKind::library:
+      if (plan.base_algo == rt::AllgatherAlgo::flat_ring)
+        return cm::flat_ring(c, chunk_bytes);
+      return cm::leader_allgather(
+          c, chunk_bytes, true, true, 1,
+          plan.base_algo == rt::AllgatherAlgo::leader_rd);
+    // Shared replicas drop the broadcast step (Fig. 5b), shared out slabs
+    // the gather step too; the parallel plan rings ppn flows per node.
+    case PlanKind::leader_gather:
+      return cm::leader_allgather(c, chunk_bytes, true, false, 1);
+    case PlanKind::leader:
+      return cm::leader_allgather(c, chunk_bytes, false, false, 1);
+    case PlanKind::parallel:
+      return cm::leader_allgather(c, chunk_bytes, false, false, c.ppn());
+  }
+  throw std::logic_error("plan_time: unknown plan");
+}
+
+double stretched_ns(const rt::Proc& p, const cm::CollTimes& t) {
+  const faults::FaultInjector* inj = p.cluster->injector();
+  if (inj == nullptr) return t.total_ns;
+  const double lf = inj->min_link_factor(p.clock.now_ns());
+  return t.total_ns + t.inter_ns * (1.0 / lf - 1.0);
+}
+
+double overlap_decode_ns(rt::Proc& p, double wire_ns, double decode_ns,
+                         int chunks, double split_ns) {
+  const double total_ns =
+      cm::pipelined2_ns(wire_ns, decode_ns, chunks) + split_ns;
+  p.prof.add_overlap_saved(wire_ns + decode_ns - total_ns);
+  return total_ns;
+}
+
+double run_plan(rt::Proc& p, const UnitCosts& u, sim::Phase phase,
+                const ExchangePlan& plan, const PlanWire& wire,
+                const std::function<void()>& reset,
+                const std::function<void(int)>& land) {
+  rt::Cluster& c = *p.cluster;
+  p.barrier(c.world(), sim::Phase::stall);  // every partition's out data ready
+
+  if (plan.kind == PlanKind::parallel) {
+    // Each color assembles its slice of every node chunk in place; blocks
+    // are word-disjoint, but the shared summary needs one wipe before the
+    // colors' merges.
+    if (p.is_node_leader()) reset();
+    p.barrier(c.node_comm(p.node), sim::Phase::stall);
+    for (int m = 0; m < c.topo().nodes(); ++m) land(m * c.ppn() + p.local);
+  } else if (plan.kind == PlanKind::library || plan.acts_leader) {
+    reset();
+    for (int r = 0; r < c.nranks(); ++r) land(r);
+  }
+
+  // A degraded fabric stretches each collective's inter-node stage.
+  double total_ns = stretched_ns(p, plan_time(c, plan, wire.chunk_bytes));
+  if (wire.summary_bytes > 0)
+    total_ns += stretched_ns(p, plan_time(c, plan, wire.summary_bytes));
+  if (wire.coded) {
+    // The decode of wire chunk i proceeds while chunk i+1 is in flight.
+    total_ns = overlap_decode_ns(
+        p, total_ns,
+        u.stream_pass_ns(plan.assemble_chunks * wire.decode_words),
+        plan.chunks, static_cast<double>(plan.chunks - 1) * wire.split_ns);
+  }
+  p.charge(phase, total_ns);
+  p.barrier(c.world(), phase);  // the collective completes together
+  return total_ns;
+}
 
 void decode_bitmap_checked(std::span<const std::uint8_t> in,
                            std::span<std::uint64_t> words, const char* what,
@@ -135,86 +302,10 @@ GateResult gate_bitmap_chunks(
   return res;
 }
 
-void clear_out_bits(rt::Proc& p, const graph::DistGraph& dg, DistState& st,
-                    const UnitCosts& u, sim::Phase phase) {
-  const std::uint64_t block_words = dg.part.block() / 64;
-  auto out_q = st.out_queue(p.rank);
-  const std::uint64_t off = static_cast<std::uint64_t>(p.rank) * block_words;
-  std::memset(out_q.words().data() + off, 0, block_words * 8);
-
-  auto out_s = st.out_summary(p.rank);
-  auto sw = out_s.bits().words();
-  if (!st.shared_out()) {
-    // Private: only our own range was ever set; the whole map is tiny.
-    std::memset(sw.data(), 0, sw.size() * 8);
-    p.charge(phase, u.stream_pass_ns(block_words + sw.size()));
-  } else {
-    // Shared: the node's ranks wipe disjoint word slices of the node map.
-    const int ppn = p.ppn;
-    const std::size_t lo = sw.size() * static_cast<std::size_t>(p.local) /
-                           static_cast<std::size_t>(ppn);
-    const std::size_t hi = sw.size() * static_cast<std::size_t>(p.local + 1) /
-                           static_cast<std::size_t>(ppn);
-    std::memset(sw.data() + lo, 0, (hi - lo) * 8);
-    p.charge(phase, u.stream_pass_ns(block_words + (hi - lo)));
-  }
-}
-
-void clear_out_bits_part(rt::Proc& p, const graph::DistGraph& dg,
-                         DistState& st, const UnitCosts& u, sim::Phase phase,
-                         int part) {
-  const std::uint64_t block_bits = dg.part.block();
-  const std::uint64_t block_words = block_bits / 64;
-  auto out_q = st.out_queue(part);
-  const std::uint64_t off = static_cast<std::uint64_t>(part) * block_words;
-  std::memset(out_q.words().data() + off, 0, block_words * 8);
-
-  // Unlike the healthy wipe (disjoint local slices of a node map), the dead
-  // owner's summary share has no other writer left, so the adopter clears
-  // exactly the partition's summary range.
-  auto out_s = st.out_summary(part);
-  const auto [sb, se] = summary_range(st, block_bits, part);
-  const faults::FaultInjector* inj = p.cluster->injector();
-  if (!st.shared_out() || inj == nullptr) {
-    out_s.bits().clear_range(sb, se);
-  } else {
-    // In a node map the live ranks are wiping their own word slices in
-    // this same phase (clear_out_bits), so the adopter clears only the
-    // part of the range inside dead ranks' slices: every word keeps one
-    // writer, and the map ends as if the whole range were cleared.
-    const std::uint64_t words = out_s.bits().words().size();
-    const auto ppn = static_cast<std::uint64_t>(p.ppn);
-    const int node = p.cluster->node_of(part);
-    for (int l = 0; l < p.ppn; ++l) {
-      if (!inj->dead(node * p.ppn + l)) continue;
-      const auto ul = static_cast<std::uint64_t>(l);
-      const std::uint64_t lo = std::max(sb, words * ul / ppn * 64);
-      const std::uint64_t hi = std::min(se, words * (ul + 1) / ppn * 64);
-      if (lo < hi) out_s.bits().clear_range(lo, hi);
-    }
-  }
-  p.charge(phase, u.stream_pass_ns(block_words + (se - sb + 63) / 64));
-}
-
-void discovered_to_out_bits(rt::Proc& p, DistState& st, const UnitCosts& u,
-                            int part) {
-  if (part < 0) part = p.rank;
-  auto out_q = st.out_queue(part);
-  auto out_s = st.out_summary(part);
-  const auto& discovered = st.discovered(part);
-  for (graph::Vertex v : discovered) {
-    out_q.set(v);
-    out_s.mark(v);
-  }
-  p.charge(sim::Phase::switch_conv,
-           static_cast<double>(discovered.size()) * 2.0 * u.write_ns /
-               u.omp_div);
-}
-
-SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
-                                    DistState& st, const UnitCosts& u,
-                                    sim::Phase phase, bool wipe_out,
-                                    std::span<const int> parts) {
+ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
+                                   DistState& st, const UnitCosts& u,
+                                   sim::Phase phase, bool wipe_out,
+                                   std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
   const faults::FaultInjector* inj = c.injector();
   rt::Comm& world = c.world();
@@ -239,9 +330,7 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
                                      (nb + 7) / 8));
   };
   if (coded) {
-    encode_part(p.rank);
-    for (int q : parts)
-      if (q != p.rank) encode_part(q);
+    for_owned_parts(p, parts, encode_part);
     const std::uint64_t enc_sum =
         rt::allreduce_sum(p, world, my_enc, sim::Phase::stall);
     const std::uint64_t raw_sum =
@@ -265,15 +354,13 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
     world.publish_ptr(q, buf.data());
     world.publish_val(q, buf.size());
   };
-  publish_part(p.rank);
-  for (int q : parts)
-    if (q != p.rank) publish_part(q);
+  for_owned_parts(p, parts, publish_part);
   p.barrier(world, sim::Phase::stall);  // lists ready
 
   auto& frontier = st.frontier(p.rank);
   frontier.clear();
-  SparseExchangeStats stats;
-  stats.coded = coded;
+  ExchangeLevelStats stats;
+  if (coded) stats.codec = codec::Kind::sparse_list;
   std::uint64_t intra_bytes = 0, inter_bytes = 0;
   for (int r = 0; r < np; ++r) {
     std::uint64_t bytes;  // what rides the wire for this contribution
@@ -325,12 +412,10 @@ SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
           c.link().shm_flow_bw(1);
   p.charge(phase, t);
 
-  if (wipe_out) {
-    clear_out_bits(p, dg, st, u, sim::Phase::switch_conv);
-    for (int q : parts)
-      if (q != p.rank)
-        clear_out_bits_part(p, dg, st, u, sim::Phase::switch_conv, q);
-  }
+  if (wipe_out)
+    for_owned_parts(p, parts, [&](int q) {
+      clear_out_bits(p, dg, st, u, sim::Phase::switch_conv, q);
+    });
   p.barrier(world, phase);
   return stats;
 }
@@ -339,58 +424,11 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
                                 sim::Phase phase, std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
-  const faults::FaultInjector* inj = c.injector();
-  rt::Comm& world = c.world();
-  rt::Comm& node = c.node_comm(p.node);
   const Config& cfg = st.config();
-  const int np = c.nranks();
-  const int ppn = c.ppn();
-
   const std::uint64_t block_bits = dg.part.block();
   const std::uint64_t block_words = block_bits / 64;
-  const std::uint64_t g = cfg.summary_granularity;
-  const std::uint64_t summary_bits = st.summary_bits();
-  const std::uint64_t qchunk_bytes = block_words * 8;
-  const std::uint64_t schunk_bytes = std::max<std::uint64_t>(1, block_bits / (8 * g));
-
-  // Degraded mode: with dead ranks, subgroup rings are broken (a color may
-  // be missing on some node) and the wired-in leader may be gone. Fall back
-  // to the leader plan with the lowest live local rank acting as leader.
-  const bool degraded = inj != nullptr && inj->any_dead();
-  const bool acts_leader =
-      degraded ? p.local == inj->lowest_live_local(p.node) : p.is_node_leader();
-  const bool par_plan =
-      st.shared_in() && st.shared_out() && cfg.parallel_allgather && !degraded;
-
-  // Modeled duration of one allgather under the active plan, as a function
-  // of the per-rank chunk size actually on the wire (shared between the
-  // codec gate's estimates and the final charge, so the gate optimizes the
-  // quantity that is charged).
-  const auto plan_time = [&](std::uint64_t chunk_bytes) -> cm::CollTimes {
-    if (!st.shared_in()) {
-      if (cfg.base_algo == rt::AllgatherAlgo::flat_ring)
-        return cm::flat_ring(c, chunk_bytes);
-      const bool rd = cfg.base_algo == rt::AllgatherAlgo::leader_rd;
-      return cm::leader_allgather(c, chunk_bytes, true, true, 1, rd);
-    }
-    if (!st.shared_out()) return cm::leader_allgather(c, chunk_bytes, true, false, 1);
-    if (!par_plan) return cm::leader_allgather(c, chunk_bytes, false, false, 1);
-    return cm::leader_allgather(c, chunk_bytes, false, false, ppn);
-  };
-
-  // Queue chunks one rank assembles — and therefore decodes — per level.
-  const std::uint64_t assemble_chunks =
-      par_plan ? static_cast<std::uint64_t>(c.topo().nodes())
-               : static_cast<std::uint64_t>(np);
-
-  const auto for_owned_parts = [&](auto&& f) {
-    f(p.rank);
-    for (int q : parts)
-      if (q != p.rank) f(q);
-  };
-
-  const int K = std::max(1, cfg.exchange_chunks);
-  const double per_chunk_ns = c.params().chunk_split_overhead_ns;
+  const ExchangePlan plan = select_plan(p, cfg);
+  const double split_ns = c.params().chunk_split_overhead_ns;
 
   // --- per-level codec gate (DESIGN.md §10) -----------------------------
   // Every rank computes the same decision from allreduced measured sparsity
@@ -398,9 +436,9 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   // the MS-BFS kernel chooser. A level near 50% density estimates above the
   // raw wire cost and stays raw. The machinery itself is shared with the
   // 2-D exchange (gate_bitmap_chunks); this call site only describes the
-  // 1-D out_queue chunks and the active allgather plan.
+  // 1-D out_queue chunks and prices them with the plan's own time.
   std::vector<GateChunk> gate_chunks;
-  for_owned_parts([&](int q) {
+  const auto offer = [&](int q) {
     GateChunk ch;
     ch.words = st.out_queue(q).words().subspan(
         static_cast<std::uint64_t>(q) * block_words, block_words);
@@ -408,141 +446,73 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
     ch.guide_base_bit = static_cast<std::uint64_t>(q) * block_bits;
     ch.enc = &st.enc_buf(q);
     gate_chunks.push_back(ch);
-  });
+  };
+  for_owned_parts(p, parts, offer);
   const GateResult gate = gate_bitmap_chunks(
-      p, world, cfg.codec, K, gate_chunks, block_words, block_bits,
-      assemble_chunks, u, phase,
-      [&](std::uint64_t b) { return plan_time(b).total_ns; }, per_chunk_ns);
+      p, c.world(), cfg.codec, plan.chunks, gate_chunks, block_words,
+      block_bits, plan.assemble_chunks, u, phase,
+      [&](std::uint64_t b) { return plan_time(c, plan, b).total_ns; },
+      split_ns);
   const codec::Kind kind = gate.kind;
-  const double enc_ns = gate.encode_ns;
-  const std::uint64_t wire_chunk = gate.wire_chunk_bytes;
 
-  // --- data-plumbing helpers (real movement; time is modeled below) -----
-  const auto copy_queue_chunk = [&](graph::BitmapView dst, int src_rank) {
-    const std::uint64_t off = static_cast<std::uint64_t>(src_rank) * block_words;
+  // --- real assembly of one source partition (time is the plan's) -------
+  auto in_q = st.in_queue(p.rank);
+  auto in_s = st.in_summary(p.rank);
+  const auto land = [&](int src) {
+    const std::uint64_t off = static_cast<std::uint64_t>(src) * block_words;
     std::uint64_t bytes = block_words * 8;  // raw wire size
     if (kind == codec::Kind::raw) {
-      auto src = st.out_queue(src_rank).words();
-      std::memcpy(dst.words().data() + off, src.data() + off, block_words * 8);
+      auto words = st.out_queue(src).words();
+      std::memcpy(in_q.words().data() + off, words.data() + off,
+                  block_words * 8);
     } else {
-      const auto& buf = st.enc_buf(src_rank);
+      const auto& buf = st.enc_buf(src);
       // Strict framing (see exchange_sparse): the encoding must account for
       // every published byte, or the stream was corrupted.
       decode_bitmap_checked({buf.data(), buf.size()},
-                            dst.words().subspan(off, block_words),
-                            "exchange_frontier", src_rank);
+                            in_q.words().subspan(off, block_words),
+                            "exchange_frontier", src);
       bytes = buf.size();
     }
-    if (src_rank == p.rank) return;  // own chunk: no transmission (Eq. (1))
-    if (c.node_of(src_rank) == p.node)
+    // The parallel plan's subgroups merge into one node summary at once,
+    // so a range's boundary words merge atomically.
+    const auto [sb, se] = summary_range(st, block_bits, src);
+    if (sb < se)
+      graph::copy_bits(in_s.bits().words(), sb,
+                       st.out_summary(src).bits().words(), sb, se - sb,
+                       /*atomic_boundaries=*/true);
+    if (src == p.rank) return;  // own chunk: no transmission (Eq. (1))
+    if (c.node_of(src) == p.node)
       p.prof.counters().bytes_intra_node += bytes;
     else
       p.prof.counters().bytes_inter_node += bytes;
     p.prof.counters().bytes_raw_equiv += block_words * 8;
   };
-  const auto copy_summary_range = [&](graph::SummaryView dst, int src_rank,
-                                      bool atomic) {
-    const std::uint64_t sb =
-        static_cast<std::uint64_t>(src_rank) * block_bits / g;
-    const std::uint64_t se = std::min(
-        summary_bits,
-        (static_cast<std::uint64_t>(src_rank + 1) * block_bits + g - 1) / g);
-    if (sb >= se) return;
-    auto src_s = st.out_summary(src_rank);
-    graph::copy_bits(dst.bits().words(), sb, src_s.bits().words(), sb, se - sb,
-                     atomic);
-  };
-  const auto memset_summary = [&](graph::SummaryView s) {
-    auto w = s.bits().words();
+  const auto reset = [&] {
+    auto w = in_s.bits().words();
     std::memset(w.data(), 0, w.size() * 8);
   };
 
-  p.barrier(world, sim::Phase::stall);  // out data (and encodings) ready
-
-  // --- modeled durations + real assembly, by plan ------------------------
-  // The queue allgather is modeled on `wire_chunk` — the measured encoded
+  // The queue allgather rides `wire_chunk_bytes` — the measured encoded
   // chunk when a codec is active, the raw chunk otherwise. The summary
   // allgather always rides raw (it is itself the compressed digest).
-  cm::CollTimes qt = plan_time(wire_chunk);
-  cm::CollTimes ss = plan_time(schunk_bytes);
-  auto in_q = st.in_queue(p.rank);
-  auto in_s = st.in_summary(p.rank);
-
-  if (!st.shared_in()) {
-    // "Original": private replicas, library allgather over all np ranks.
-    for (int r = 0; r < np; ++r) copy_queue_chunk(in_q, r);
-    memset_summary(in_s);
-    for (int r = 0; r < np; ++r) copy_summary_range(in_s, r, false);
-  } else if (!st.shared_out()) {
-    // "+ Share in_queue": gather to leader, leaders ring directly into the
-    // node-shared in_queue; the broadcast step is gone (Fig. 5b).
-    if (acts_leader) {
-      for (int r = 0; r < np; ++r) copy_queue_chunk(in_q, r);
-      memset_summary(in_s);
-      for (int r = 0; r < np; ++r) copy_summary_range(in_s, r, false);
-    }
-  } else if (!par_plan) {
-    // "+ Share all": out slabs are shared too; the gather step is gone.
-    // (Also the degraded fallback for the parallel plan below.)
-    if (acts_leader) {
-      for (int r = 0; r < np; ++r) copy_queue_chunk(in_q, r);
-      memset_summary(in_s);
-      for (int r = 0; r < np; ++r) copy_summary_range(in_s, r, false);
-    }
-  } else {
-    // "+ Par allgather": ppn subgroups ring concurrently (Fig. 7), each
-    // assembling its color's slice of every node chunk in place.
-    if (p.is_node_leader()) memset_summary(in_s);
-    p.barrier(node, phase);  // summary zeroed before OR-merges
-    for (int m = 0; m < c.topo().nodes(); ++m) {
-      const int src_rank = m * ppn + p.local;
-      copy_queue_chunk(in_q, src_rank);
-      copy_summary_range(in_s, src_rank, /*atomic=*/true);
-    }
-  }
-
-  if (inj != nullptr) {
-    // Degraded fabric stretches the inter-node stages of both allgathers.
-    const double lf = inj->min_link_factor(p.clock.now_ns());
-    qt.total_ns += qt.inter_ns * (1.0 / lf - 1.0);
-    ss.total_ns += ss.inter_ns * (1.0 / lf - 1.0);
-    qt.inter_ns /= lf;
-    ss.inter_ns /= lf;
-  }
-  double total_ns = qt.total_ns + ss.total_ns;
-  double dec_ns = 0.0;
-  double overlap_saved = 0.0;
-  if (kind != codec::Kind::raw) {
-    // Chunk-pipelined overlap: the decode of wire chunk i proceeds while
-    // chunk i+1 is in flight (K chunks; K=1 degrades to sequential), minus
-    // the per-split message overhead the extra chunks cost.
-    dec_ns = u.stream_pass_ns(assemble_chunks * block_words);
-    const double seq_ns = total_ns + dec_ns;
-    total_ns = cm::pipelined2_ns(total_ns, dec_ns, K) +
-               static_cast<double>(K - 1) * per_chunk_ns;
-    overlap_saved = seq_ns - total_ns;
-    p.prof.add_overlap_saved(overlap_saved);
-  }
-  p.charge(phase, total_ns);
-  p.barrier(world, phase);  // the collective completes together
-
-  clear_out_bits(p, dg, st, u, phase);
-  for (int q : parts)
-    if (q != p.rank) clear_out_bits_part(p, dg, st, u, phase, q);
-  p.barrier(world, sim::Phase::stall);  // wipes land before the next level
-
+  PlanWire wire;
+  wire.chunk_bytes = gate.wire_chunk_bytes;
+  wire.summary_bytes = std::max<std::uint64_t>(
+      1, block_bits / (8 * cfg.summary_granularity));
+  wire.coded = kind != codec::Kind::raw;
+  wire.decode_words = block_words;
+  wire.split_ns = split_ns;
   ExchangeTimes ex;
-  ex.gather_ns = qt.gather_ns + ss.gather_ns;
-  ex.inter_ns = qt.inter_ns + ss.inter_ns;
-  ex.bcast_ns = qt.bcast_ns + ss.bcast_ns;
-  ex.intra_overlapped_ns = qt.intra_overlapped_ns + ss.intra_overlapped_ns;
-  ex.total_ns = total_ns;  // includes any link-degradation stretch
+  ex.total_ns = run_plan(p, u, phase, plan, wire, reset, land);
+
+  for_owned_parts(p, parts,
+                  [&](int q) { clear_out_bits(p, dg, st, u, phase, q); });
+  p.barrier(c.world(), sim::Phase::stall);  // wipes land before the next level
+
   ex.codec = kind;
-  ex.encode_ns = enc_ns;
-  ex.decode_ns = dec_ns;
-  ex.overlap_saved_ns = overlap_saved;
-  ex.chunk_raw_bytes = qchunk_bytes;
-  ex.chunk_wire_bytes = wire_chunk;
+  ex.chunk_raw_bytes = block_words * 8;
+  ex.chunk_wire_bytes = gate.wire_chunk_bytes;
   return ex;
 }
 
@@ -565,12 +535,8 @@ ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
   } else {
     // Next level is top-down: the sparse list exchange suffices; when
     // leaving bottom-up, the stale out bitmaps are wiped on the way.
-    const SparseExchangeStats sx =
-        exchange_sparse(p, dg_, st_, u_, sim::Phase::td_comm,
+    s = exchange_sparse(p, dg_, st_, u_, sim::Phase::td_comm,
                         /*wipe_out=*/cur_dir == 1, parts);
-    s.codec = sx.coded ? codec::Kind::sparse_list : codec::Kind::raw;
-    s.wire_bytes = sx.wire_bytes;
-    s.raw_bytes = sx.raw_bytes;
   }
   return s;
 }

@@ -24,31 +24,94 @@
 #include "graph/dist_graph.hpp"
 #include "graph/summary.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/coll_model.hpp"
 
 namespace numabfs::bfs {
 
-/// Breakdown of the modeled exchange duration (for Figs. 6/12/13), plus the
-/// codec outcome when Config::codec is active (DESIGN.md §10).
-struct ExchangeTimes {
-  double gather_ns = 0;
-  double inter_ns = 0;
-  double bcast_ns = 0;
-  double intra_overlapped_ns = 0;
-  double total_ns = 0;
+// --- the collective-plan core (DESIGN.md §9) -----------------------------
+// Every replicated-frontier exchange (this 1-D bitmap exchange, MS-BFS
+// waves and frontier programs) rides one plan chosen here from the Config.
+// The core owns the plan's modeled time, which ranks land which chunks,
+// the link-degrade stretch and the decode overlap (the 2-D legs use the
+// last two); callers own their wire format and how one chunk lands.
 
-  graph::codec::Kind codec = graph::codec::Kind::raw;  ///< gate's pick
-  double encode_ns = 0;         ///< modeled codec encode cost (this rank)
-  double decode_ns = 0;         ///< modeled codec decode cost
-  double overlap_saved_ns = 0;  ///< wire/decode pipelining gain
-  std::uint64_t chunk_raw_bytes = 0;   ///< per-rank raw contribution
-  std::uint64_t chunk_wire_bytes = 0;  ///< what actually rides the wire
+/// The collective plans of the Fig. 5 sharing ladder and Fig. 7.
+enum class PlanKind {
+  library,        ///< private replicas: the base allgather over all ranks
+  leader_gather,  ///< "+ Share in_queue": leaders gather, then ring
+  leader,         ///< "+ Share all" (also the degraded parallel plan)
+  parallel,       ///< ppn subgroup rings assemble in place (Fig. 7)
 };
 
-/// What the sparse (top-down) exchange moved, for per-level accounting.
-struct SparseExchangeStats {
-  std::uint64_t wire_bytes = 0;  ///< bytes this rank received off-rank
-  std::uint64_t raw_bytes = 0;   ///< their raw (uncoded) equivalent
-  bool coded = false;            ///< lists rode the delta-varint codec
+/// The collective plan of one replicated-frontier exchange.
+struct ExchangePlan {
+  PlanKind kind = PlanKind::library;
+  rt::AllgatherAlgo base_algo = rt::AllgatherAlgo::flat_ring;  ///< library
+  bool acts_leader = false;  ///< this rank assembles its node's replica
+  int chunks = 1;            ///< K of the chunk-pipelined decode
+  /// Chunks one rank lands, and therefore decodes, per exchange.
+  std::uint64_t assemble_chunks = 0;
+};
+
+/// The plan of `cfg` on the caller's cluster. With dead ranks the parallel
+/// plan degrades to the leader plan (subgroup rings need every color alive
+/// on every node), led by the lowest live local rank.
+ExchangePlan select_plan(const rt::Proc& p, const Config& cfg);
+
+/// Modeled duration of one allgather of `chunk_bytes` per rank under `plan`.
+rt::coll_model::CollTimes plan_time(const rt::Cluster& c,
+                                    const ExchangePlan& plan,
+                                    std::uint64_t chunk_bytes);
+
+/// `t.total_ns`, with its inter-node stage stretched by the link-degrade
+/// window active at the caller's current virtual time.
+double stretched_ns(const rt::Proc& p, const rt::coll_model::CollTimes& t);
+
+/// Wire time followed by a decode, pipelined over `chunks` pieces
+/// (coll_model::pipelined2_ns) plus `split_ns` of message overhead for the
+/// extra pieces. Records the saving over running the two back to back in
+/// the caller's profile and returns the time to charge.
+double overlap_decode_ns(rt::Proc& p, double wire_ns, double decode_ns,
+                         int chunks, double split_ns = 0.0);
+
+/// What one exchange puts on the wire.
+struct PlanWire {
+  std::uint64_t chunk_bytes = 0;  ///< one rank's chunk as it rides the wire
+  /// One rank's chunk of a second, raw summary allgather (0: none; the
+  /// chunk then carries its own summary).
+  std::uint64_t summary_bytes = 0;
+  bool coded = false;  ///< the chunks rode coded: decode overlaps the wire
+  std::uint64_t decode_words = 0;  ///< words one coded chunk decodes into
+  double split_ns = 0.0;  ///< message overhead of each extra pipeline piece
+};
+
+/// Run `plan` (SPMD): the barrier that publishes every partition's out
+/// data, the real assembly, the modeled time (each collective stretched,
+/// then the decode overlap), its charge to `phase` and the closing barrier.
+/// The plan decides which ranks call `reset` (wipe the replica summary
+/// before the merges) and `land(src)` (land partition `src`'s chunk and
+/// summary share in the replica). Returns the charged time.
+double run_plan(rt::Proc& p, const UnitCosts& u, sim::Phase phase,
+                const ExchangePlan& plan, const PlanWire& wire,
+                const std::function<void()>& reset,
+                const std::function<void(int)>& land);
+
+// --- the 1-D hybrid's exchanges ------------------------------------------
+
+/// What one frontier exchange moved, uniformly across decompositions.
+struct ExchangeLevelStats {
+  graph::codec::Kind codec = graph::codec::Kind::raw;
+  std::uint64_t wire_bytes = 0;  ///< measured bytes on the wire
+  std::uint64_t raw_bytes = 0;   ///< their uncoded equivalent
+  bool bitmap = false;           ///< bitmap family (vs sparse-list family)
+};
+
+/// What one bitmap exchange charged and moved (DESIGN.md §10).
+struct ExchangeTimes {
+  double total_ns = 0;  ///< modeled duration, link-degrade stretch included
+  graph::codec::Kind codec = graph::codec::Kind::raw;  ///< gate's pick
+  std::uint64_t chunk_raw_bytes = 0;   ///< per-rank raw contribution
+  std::uint64_t chunk_wire_bytes = 0;  ///< what actually rides the wire
 };
 
 /// Bitmap exchange (used when the *next* level is bottom-up): the two
@@ -67,29 +130,22 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
 /// negligible outside the bulge, which is why the paper's communication
 /// cost concentrates in the bottom-up phases. `wipe_out` additionally
 /// wipes the out bitmaps (set when the level that produced the frontier
-/// ran bottom-up, whose kernel marks them). `parts` as above.
-SparseExchangeStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
-                                    DistState& st, const UnitCosts& u,
-                                    sim::Phase phase, bool wipe_out,
-                                    std::span<const int> parts = {});
+/// ran bottom-up, whose kernel marks them). `parts` as above. Reports the
+/// bytes this rank received off-rank; the codec is sparse_list when the
+/// lists rode delta-varint coded.
+ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
+                                   DistState& st, const UnitCosts& u,
+                                   sim::Phase phase, bool wipe_out,
+                                   std::span<const int> parts = {});
 
-/// Direction-switch conversion (td -> bu): materialize the out_queue /
-/// out_queue_summary bits from this level's discovered list, so the bitmap
-/// exchange can build the next in_queue. Charged to Phase::switch_conv.
-/// `part` selects the partition (-1 = the caller's own).
-void discovered_to_out_bits(rt::Proc& p, DistState& st, const UnitCosts& u,
-                            int part = -1);
-
-/// Wipe this rank's out_queue chunk and out_summary share (used on the
-/// bu -> td path, where no bitmap exchange performs the wipe).
-void clear_out_bits(rt::Proc& p, const graph::DistGraph& dg, DistState& st,
-                    const UnitCosts& u, sim::Phase phase);
-
-/// Wipe partition `part`'s out_queue chunk and out_summary range on behalf
-/// of a crashed owner (fault recovery only; the caller adopted `part`).
-void clear_out_bits_part(rt::Proc& p, const graph::DistGraph& dg,
-                         DistState& st, const UnitCosts& u, sim::Phase phase,
-                         int part);
+/// Visit the caller's partitions, own rank first, then the adopted ones
+/// (`parts` empty: the own rank only).
+template <typename F>
+void for_owned_parts(const rt::Proc& p, std::span<const int> parts, F&& f) {
+  f(p.rank);
+  for (int q : parts)
+    if (q != p.rank) f(q);
+}
 
 // --- decomposition-agnostic codec gate (DESIGN.md §10/§13) ---------------
 // The per-level gate decides raw vs coded from allreduced *measured*
@@ -139,14 +195,6 @@ void decode_bitmap_checked(std::span<const std::uint8_t> in,
                            int src_rank);
 
 // --- unified frontier-exchange interface (DESIGN.md §13) -----------------
-
-/// What one frontier exchange moved, uniformly across decompositions.
-struct ExchangeLevelStats {
-  graph::codec::Kind codec = graph::codec::Kind::raw;
-  std::uint64_t wire_bytes = 0;  ///< measured bytes on the wire
-  std::uint64_t raw_bytes = 0;   ///< their uncoded equivalent
-  bool bitmap = false;           ///< bitmap family (vs sparse-list family)
-};
 
 /// The communication step between two BFS levels, behind which both the
 /// 1-D hybrid and the 2-D grid decomposition sit: rebuild the next level's

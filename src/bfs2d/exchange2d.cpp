@@ -15,28 +15,6 @@ namespace numabfs::bfs2d {
 namespace cm = rt::coll_model;
 namespace codec = graph::codec;
 
-namespace {
-
-/// Stretch a collective's inter-node stage under an active link-degrade
-/// window (same convention as the 1-D exchange).
-void stretch_inter(rt::Proc& p, const faults::FaultInjector* inj,
-                   cm::CollTimes& t) {
-  if (inj == nullptr) return;
-  const double lf = inj->min_link_factor(p.clock.now_ns());
-  t.total_ns += t.inter_ns * (1.0 / lf - 1.0);
-  t.inter_ns /= lf;
-}
-
-/// Visit the caller's partitions, own rank first (the 1-D adoption order).
-template <typename F>
-void for_owned_parts(rt::Proc& p, std::span<const int> parts, F&& f) {
-  f(p.rank);
-  for (int q : parts)
-    if (q != p.rank) f(q);
-}
-
-}  // namespace
-
 State2d::State2d(const DistGraph2d& dg, std::uint64_t summary_granularity) {
   const Grid2d& g = dg.grid;
   const int np = g.np();
@@ -86,6 +64,10 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
   const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
   const bool rd_inter = R >= 8;
   const double t0 = p.clock.now_ns();
+  // The column allgather: R members, one per node, ppn columns per node.
+  const auto col_allgather = [&](std::uint64_t b) {
+    return cm::hier_subgroup_allgather(c, R, 1, ppn, b, hier, rd_inter);
+  };
 
   // One gate decision covers the transpose and the expand: the same wire
   // pieces ride both legs, and the plan the gate optimizes is their sum.
@@ -95,14 +77,11 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
                     static_cast<double>(b) /
                         c.link().nic_flow_bw(ppn, cm::min_nic_factor(c))
               : 0.0;
-    const double expand_ns =
-        R > 1 ? cm::hier_subgroup_allgather(c, R, 1, ppn, b, hier, rd_inter)
-                    .total_ns
-              : 0.0;
+    const double expand_ns = R > 1 ? col_allgather(b).total_ns : 0.0;
     return transpose_ns + expand_ns;
   };
   std::vector<bfs::GateChunk> chunks;
-  for_owned_parts(p, parts, [&](int q) {
+  bfs::for_owned_parts(p, parts, [&](int q) {
     bfs::GateChunk ch;
     ch.words = st_.frontier[static_cast<std::size_t>(q)].view().words();
     ch.enc = &st_.enc_piece[static_cast<std::size_t>(q)];
@@ -126,7 +105,7 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
 
   std::uint64_t wire0 = 0, raw0 = 0;
   std::uint64_t intra = 0, inter = 0;
-  for_owned_parts(p, parts, [&](int q) {
+  bfs::for_owned_parts(p, parts, [&](int q) {
     const int iq = g.row_of(q);
     const int jq = g.col_of(q);
     // Real assembly: col-band slot k <- piece j*R + k, decoded or copied.
@@ -184,17 +163,12 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
     // Modeled duration of this partition's column collective.
     double leg_ns = transpose_ns;
     if (R > 1) {
-      cm::CollTimes et = cm::hier_subgroup_allgather(
-          c, R, 1, ppn, gate.wire_chunk_bytes, hier, rd_inter);
-      stretch_inter(p, inj, et);
-      double tot = et.total_ns;
-      if (kind != codec::Kind::raw) {
-        const double dec =
-            u.stream_pass_ns(static_cast<std::uint64_t>(R) * piece_words);
-        const double seq = tot + dec;
-        tot = cm::pipelined2_ns(tot, dec, K);
-        p.prof.add_overlap_saved(seq - tot);
-      }
+      double tot =
+          bfs::stretched_ns(p, col_allgather(gate.wire_chunk_bytes));
+      if (kind != codec::Kind::raw)
+        tot = bfs::overlap_decode_ns(
+            p, tot,
+            u.stream_pass_ns(static_cast<std::uint64_t>(R) * piece_words), K);
       leg_ns += tot;
       last_expand_ns_ = tot;
     }
@@ -243,7 +217,7 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   bool coded = opt_.codec != bfs::CodecMode::off && g.np() > 1;
   if (coded) {
     std::uint64_t my_enc = 0, my_raw = 0;
-    for_owned_parts(p, parts, [&](int q) {
+    bfs::for_owned_parts(p, parts, [&](int q) {
       for (int k = 0; k < C; ++k) {
         const auto& ch = st_.out_children[static_cast<std::size_t>(q)]
                                          [static_cast<std::size_t>(k)];
@@ -376,13 +350,9 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   double t = cm::hier_alltoallv_ns(c, std::max(1, C / ppn), std::min(ppn, C),
                                    node_intra, node_inter, hier);
   if (inj != nullptr) t /= inj->min_link_factor(p.clock.now_ns());
-  if (coded && dec_ns > 0) {
-    // The owner decodes claim lists while later chunks are in flight
-    // (K-chunk wire/decode pipelining, as on the bitmap legs).
-    const double seq = t + dec_ns;
-    t = cm::pipelined2_ns(t, dec_ns, K);
-    p.prof.add_overlap_saved(seq - t);
-  }
+  // The owner decodes claim lists while later chunks are in flight
+  // (K-chunk wire/decode pipelining, as on the bitmap legs).
+  if (coded && dec_ns > 0) t = bfs::overlap_decode_ns(p, t, dec_ns, K);
   p.charge(phase, t);
   last_fold_ns_ = t;
   p.barrier(world, phase);
@@ -425,6 +395,12 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
   const bool degraded = inj != nullptr && inj->any_dead();
   const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
   const bool rd_inter = C / std::max(1, ppn) >= 8;
+  // The row allgather: C members over C/ppn nodes, ppn of them per node.
+  const auto row_allgather = [&](std::uint64_t b) {
+    return cm::hier_subgroup_allgather(c, std::max(1, C / ppn),
+                                       std::min(ppn, C), 1, b, hier,
+                                       rd_inter);
+  };
 
   // Advance: the accepted claims become the next frontier.
   for (int q : parts) {
@@ -457,26 +433,19 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
           (c.node_of(m) == c.node_of(q) ? intra : inter) += piece_bytes;
           p.prof.counters().bytes_raw_equiv += piece_bytes;
         }
-        cm::CollTimes et = cm::hier_subgroup_allgather(
-            c, std::max(1, C / ppn), std::min(ppn, C), 1, piece_bytes, hier,
-            rd_inter);
-        stretch_inter(p, inj, et);
         p.charge(sim::Phase::switch_conv,
-                 et.total_ns + u.stream_pass_ns(g.band_bits() / 64));
+                 bfs::stretched_ns(p, row_allgather(piece_bytes)) +
+                     u.stream_pass_ns(g.band_bits() / 64));
       }
     } else {
       // Claim-return: a row allgather of the (sparse) new frontier pieces,
       // OR-ed into the replicas — gated like the expand, but against the
       // row collective's plan.
       const auto plan_total = [&](std::uint64_t b) {
-        return C > 1 ? cm::hier_subgroup_allgather(c, std::max(1, C / ppn),
-                                                   std::min(ppn, C), 1, b,
-                                                   hier, rd_inter)
-                           .total_ns
-                     : 0.0;
+        return C > 1 ? row_allgather(b).total_ns : 0.0;
       };
       std::vector<bfs::GateChunk> chunks;
-      for_owned_parts(p, parts, [&](int q) {
+      bfs::for_owned_parts(p, parts, [&](int q) {
         bfs::GateChunk ch;
         ch.words = st_.frontier[static_cast<std::size_t>(q)].view().words();
         ch.enc = &st_.enc_ret[static_cast<std::size_t>(q)];
@@ -517,18 +486,13 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
         }
         double leg_ns = u.stream_pass_ns(g.band_bits() / 64);  // the OR pass
         if (C > 1) {
-          cm::CollTimes et = cm::hier_subgroup_allgather(
-              c, std::max(1, C / ppn), std::min(ppn, C), 1,
-              gate.wire_chunk_bytes, hier, rd_inter);
-          stretch_inter(p, inj, et);
-          double tot = et.total_ns;
-          if (gate.kind != codec::Kind::raw) {
-            const double dec = u.stream_pass_ns(
-                static_cast<std::uint64_t>(C) * piece_words);
-            const double seq = tot + dec;
-            tot = cm::pipelined2_ns(tot, dec, K);
-            p.prof.add_overlap_saved(seq - tot);
-          }
+          double tot =
+              bfs::stretched_ns(p, row_allgather(gate.wire_chunk_bytes));
+          if (gate.kind != codec::Kind::raw)
+            tot = bfs::overlap_decode_ns(
+                p, tot,
+                u.stream_pass_ns(static_cast<std::uint64_t>(C) * piece_words),
+                K);
           leg_ns += tot;
         }
         p.charge(phase, leg_ns);

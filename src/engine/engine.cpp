@@ -55,24 +55,12 @@ QueryEngine::QueryEngine(rt::Cluster& c, const graph::DistGraph& dg,
     : cluster_(c),
       dg_(dg),
       ec_(std::move(ec)),
-      ws_(dg, cfg, c.topo().nodes(), c.ppn(), ec_.track_parents) {
+      ws_(dg, cfg, c.topo().nodes(), c.ppn(), ec_.track_parents),
+      progs_(ec_.programs) {
   if (const std::string err = ec_.validate(); !err.empty())
     throw std::invalid_argument("QueryEngine: " + err);
   if (const std::string err = cfg.validate(); !err.empty())
     throw std::invalid_argument("QueryEngine: " + err);
-}
-
-const FrontierProgram& QueryEngine::program_for(QueryKind k,
-                                                const graph::DistGraph& dg,
-                                                std::uint64_t epoch) {
-  const ProgramWorkload w = workload_of(k);
-  CachedProgram& slot = progs_[static_cast<int>(w)];
-  if (slot.prog == nullptr || slot.dg != &dg || slot.epoch != epoch) {
-    slot.prog = make_program(w, dg, ec_.programs);
-    slot.dg = &dg;
-    slot.epoch = epoch;
-  }
-  return *slot.prog;
 }
 
 std::vector<Query> QueryEngine::generate(const graph::DistGraph& dg,
@@ -239,7 +227,8 @@ EngineReport QueryEngine::serve(std::span<const Query> queries) {
       r.wave = -1;  // not a wave rider
       r.lane = 0;
 
-      const FrontierProgram& prog = program_for(q.kind, wdg, pg.epoch);
+      const FrontierProgram& prog =
+          progs_.get(workload_of(q.kind), wdg, pg.epoch);
       ProgramState pstate(wdg, ws_.config(), cluster_.topo().nodes(),
                           cluster_.ppn(), prog.with_values());
       ProgramOptions po;

@@ -165,18 +165,7 @@ class QueryEngine {
   const graph::DistGraph& dg_;
   EngineConfig ec_;
   WaveState ws_;
-  // Program instances are graph-derived (degree arrays, forward adjacency),
-  // so they are cached per (workload, epoch snapshot) and rebuilt when the
-  // serving epoch moves.
-  struct CachedProgram {
-    std::unique_ptr<FrontierProgram> prog;
-    const graph::DistGraph* dg = nullptr;
-    std::uint64_t epoch = 0;
-  };
-  CachedProgram progs_[4];
-
-  const FrontierProgram& program_for(QueryKind k, const graph::DistGraph& dg,
-                                     std::uint64_t epoch);
+  ProgramCache progs_;  ///< lives as long as the engine
 };
 
 /// The program workload a program-kind query runs (is_program_kind only).

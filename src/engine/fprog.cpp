@@ -7,8 +7,7 @@
 
 #include "bfs/direction.hpp"
 #include "bfs/level_loop.hpp"
-#include "engine/exchange_core.hpp"
-#include "graph/codec.hpp"
+#include "engine/presence_exchange.hpp"
 #include "runtime/allgather.hpp"
 
 namespace numabfs::engine {
@@ -91,113 +90,40 @@ ProgStats reduce_stats(rt::Proc& p, rt::Comm& world, const ProgStats& st) {
   return r;
 }
 
-/// Per-level exchange of the program state: measure the out-bit sparsity,
-/// run the codec gate on the presence bitmap, then ride the shared
-/// collective-plan core. A partition's chunk is its presence bits, its out
-/// summary and the changed values (with_values); the simulation lands the
-/// full value block per slab — unchanged entries already match what every
-/// replica holds, so only the changed ones are modeled on the wire.
+/// Per-level exchange of the program state through the presence exchange.
+/// A partition's chunk is its presence bits, its out summary and the
+/// changed values (with_values); the simulation lands the full value block
+/// per slab — unchanged entries already match what every replica holds, so
+/// only the changed ones are modeled on the wire.
 void prog_exchange(rt::Proc& p, ProgramState& ps, const bfs::UnitCosts& u,
                    std::span<const int> parts) {
-  rt::Cluster& c = *p.cluster;
-  rt::Comm& world = c.world();
-  const bfs::Config& cfg = ps.config();
-  const int np = c.nranks();
   const std::uint64_t block = ps.block();
   const std::uint64_t wpb = ps.words_per_block();
-  const sim::Phase phase = sim::Phase::bu_comm;
-
-  const bool coded = cfg.codec != bfs::CodecMode::off && np > 1;
-  std::uint64_t my_nnz = 0;
-  std::uint64_t my_penc = 0;
-  std::vector<std::uint8_t> pbuf;
-  for (int q : parts) {
-    auto out = ps.out_bits(q);
-    std::uint64_t nnz = 0;
-    for (std::uint64_t w : out) nnz += static_cast<std::uint64_t>(std::popcount(w));
-    if (coded) {
-      pbuf.clear();
-      const std::size_t nb =
-          graph::codec::encode_dense({out.data(), out.size()}, pbuf);
-      my_penc += static_cast<std::uint64_t>(nb);
-      p.charge(phase, u.stream_pass_ns(wpb + (nb + 7) / 8));
-    } else {
-      p.charge(phase, u.stream_pass_ns(wpb));
-    }
-    my_nnz = std::max(my_nnz, nnz);
-  }
-  const std::uint64_t max_nnz =
-      rt::allreduce_max(p, world, my_nnz, sim::Phase::stall);
-
-  const std::uint64_t g = cfg.summary_granularity;
-  const std::uint64_t sum_bytes =
-      (graph::SummaryView::summary_bits_for(block, g) + 7) / 8;
-  const std::uint64_t presence_raw = (block + 7) / 8;
-  std::uint64_t presence_bytes = presence_raw;
-  if (coded) {
-    const std::uint64_t enc_mean =
-        (rt::allreduce_sum(p, world, my_penc, sim::Phase::stall) +
-         static_cast<std::uint64_t>(np) - 1) /
-        static_cast<std::uint64_t>(np);
-    if (enc_mean < presence_raw) presence_bytes = enc_mean;
-  }
-  const bool presence_coded = presence_bytes < presence_raw;
-  const std::uint64_t payload =
-      ps.with_values() ? max_nnz * sizeof(Value) : 0;
-  const std::uint64_t chunk_bytes = presence_bytes + sum_bytes + payload;
-  const std::uint64_t raw_chunk_bytes = presence_raw + sum_bytes + payload;
-
   auto frontier = ps.frontier(p.rank);
-  auto in_s = ps.frontier_summary(p.rank);
   auto vals = ps.values(p.rank);
-  ExchangeHooks hooks;
-  hooks.copy_block = [&](int src_part) {
-    auto src = ps.out_bits(src_part);
-    std::memcpy(frontier.data() + static_cast<std::uint64_t>(src_part) * wpb,
-                src.data(), wpb * 8);
-    if (ps.with_values()) {
-      auto sv = ps.val_out(src_part);
-      std::memcpy(vals.data() + static_cast<std::uint64_t>(src_part) * block,
-                  sv.data(), block * sizeof(Value));
-    }
-    if (src_part == p.rank) return;  // own chunk: no transmission
-    if (c.node_of(src_part) == p.node)
-      p.prof.counters().bytes_intra_node += chunk_bytes;
-    else
-      p.prof.counters().bytes_inter_node += chunk_bytes;
-    p.prof.counters().bytes_raw_equiv += raw_chunk_bytes;
+  PresenceBlocks b;
+  b.trace_name = "prog.exchange";
+  b.block = block;
+  b.payload_bytes = ps.with_values() ? sizeof(Value) : 0;
+  b.replica_summary = ps.frontier_summary(p.rank);
+  b.scan = [&](int q, bool) {
+    Presence pr;
+    pr.bits = ps.out_bits(q);  // the out bits are the presence bitmap
+    for (std::uint64_t w : pr.bits)
+      pr.nnz += static_cast<std::uint64_t>(std::popcount(w));
+    pr.scan_words = wpb;
+    return pr;
   };
-  hooks.reset_summary = [&] { in_s.bits().reset(); };
-  hooks.merge_summary = [&](int src_part) {
-    auto src = ps.out_summary(src_part);
-    const std::uint64_t base =
-        static_cast<std::uint64_t>(src_part) * wpb * 64;
-    src.bits().for_each_set(0, src.size_bits(), [&](std::uint64_t b) {
-      const std::uint64_t lo = base + b * g;
-      in_s.mark(lo);
-      in_s.mark(std::min(base + block, lo + g) - 1);
-    });
+  b.copy = [&](int q) {
+    std::memcpy(frontier.data() + static_cast<std::uint64_t>(q) * wpb,
+                ps.out_bits(q).data(), wpb * 8);
+    if (ps.with_values())
+      std::memcpy(vals.data() + static_cast<std::uint64_t>(q) * block,
+                  ps.val_out(q).data(), block * sizeof(Value));
   };
-
-  ExchangeShape shape;
-  shape.chunk_bytes = chunk_bytes;
-  shape.sum_words = (ps.summary_bits() + 63) / 64;
-  shape.shared = ps.shared_frontier();
-  shape.presence_coded = presence_coded;
-  shape.decode_words = wpb;
-  run_exchange_plan(p, cfg, u, phase, shape, hooks);
-  p.trace_instant(obs::kCatEngine, "prog.exchange",
-                  obs::kv("chunk_bytes", chunk_bytes) + "," +
-                      obs::kv("raw_bytes", raw_chunk_bytes) + "," +
-                      obs::kv("coded", presence_coded ? "yes" : "no"));
-
-  for (int q : parts) {
-    auto out = ps.out_bits(q);
-    std::memset(out.data(), 0, out.size() * 8);
-    ps.out_summary(q).bits().reset();
-    p.charge(phase, u.stream_pass_ns(wpb));
-  }
-  p.barrier(world, sim::Phase::stall);  // wipes land before the next level
+  b.out = [&](int q) { return ps.out_bits(q); };
+  b.out_summary = [&](int q) { return ps.out_summary(q); };
+  presence_exchange(p, ps.config(), u, parts, b);
 }
 
 /// Engine-owned time charging for one partition's advance. Programs return

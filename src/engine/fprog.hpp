@@ -8,8 +8,8 @@
 /// over owned adjacency), how the shared control scalars evolve from the
 /// level's reduced statistics, and when the computation has converged. The
 /// engine supplies everything else — the state layout, the per-level
-/// exchange (riding the same collective plans, codec gate and degraded-link
-/// model as the MS-BFS wave through exchange_core.hpp), checkpointing,
+/// exchange (the MS-BFS wave's presence exchange, presence_exchange.hpp, on
+/// the bfs/ collective-plan core), checkpointing,
 /// crash detection with partition adoption and level rollback, abort
 /// horizons with cross-replica checkpoint export/resume for failover, the
 /// observability spans and the cost-model direction choice.

@@ -477,24 +477,8 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
     }
   };
 
-  // Analytics program instances are graph-derived (degree arrays, forward
-  // adjacency); cache one per workload, rebuilt when the epoch moves.
-  struct CachedProg {
-    std::unique_ptr<FrontierProgram> prog;
-    const graph::DistGraph* dg = nullptr;
-    std::uint64_t epoch = 0;
-  };
-  std::array<CachedProg, 4> prog_cache;
-  const auto program_for = [&](ProgramWorkload w, const graph::DistGraph& dg,
-                               std::uint64_t epoch) -> const FrontierProgram& {
-    CachedProg& s = prog_cache[static_cast<std::size_t>(w)];
-    if (s.prog == nullptr || s.dg != &dg || s.epoch != epoch) {
-      s.prog = make_program(w, dg, fdc_.programs);
-      s.dg = &dg;
-      s.epoch = epoch;
-    }
-    return *s.prog;
-  };
+  // Analytics program instances, for the length of this serve() call.
+  ProgramCache prog_cache(fdc_.programs);
 
   // Dispatch one analytics query through run_program on replica `r`: the
   // program owns the whole cluster for its duration, exports failover
@@ -511,7 +495,7 @@ FrontDoorReport FrontDoor::serve(std::span<const Query> queries) {
                             : *replicas_[static_cast<std::size_t>(r)].dg;
     const Query& query = queries[qi];
     const FrontierProgram& prog =
-        program_for(workload_of(query.kind), dg, pg.epoch);
+        prog_cache.get(workload_of(query.kind), dg, pg.epoch);
     ProgramState pstate(dg, cfg_, c.topo().nodes(), c.ppn(),
                         prog.with_values());
 

@@ -7,8 +7,7 @@
 
 #include "bfs/direction.hpp"
 #include "bfs/level_loop.hpp"
-#include "engine/exchange_core.hpp"
-#include "graph/codec.hpp"
+#include "engine/presence_exchange.hpp"
 #include "runtime/allgather.hpp"
 
 namespace numabfs::engine {
@@ -269,132 +268,49 @@ LevelStats sparse_level(rt::Proc& p, const graph::LocalGraph& lg,
   return res;
 }
 
-/// The per-level lane-word exchange: allgather every partition's block of
-/// next-frontier words into the replicated (per-rank or node-shared)
-/// frontier arrays, through the same collective plans as the bitmap
-/// exchange. The modeled wire format is measured-sparsity: a presence
-/// bitmap (1 bit per vertex of the block) plus the nonzero lane words, each
-/// carrying only the bytes of the currently active lanes; ring time is
-/// bound by the fullest chunk (allreduce_max of the measured counts).
+/// The per-level lane-word exchange: every partition's block of
+/// next-frontier words lands in the replicated (per-rank or node-shared)
+/// frontier arrays through the presence exchange. The modeled wire format
+/// is measured-sparsity: a presence bitmap plus the nonzero lane words,
+/// each carrying only the bytes of the currently active lanes.
 void wave_exchange(rt::Proc& p, const graph::DistGraph& dg, WaveState& ws,
                    const bfs::UnitCosts& u, std::uint64_t active,
                    std::span<const int> parts) {
-  rt::Cluster& c = *p.cluster;
-  rt::Comm& world = c.world();
-  const bfs::Config& cfg = ws.config();
-  const int np = c.nranks();
   const std::uint64_t block = dg.part.block();
-  const sim::Phase phase = sim::Phase::bu_comm;
-
-  // Measure the sparsity of the owned chunks (a real count on the real
-  // words; one streaming pass each). With the exchange codec on, the same
-  // pass really builds and dense-encodes the presence bitmap of the wire
-  // format, so the presence component rides *measured* encoded bytes.
-  const bool coded = cfg.codec != bfs::CodecMode::off && np > 1;
-  std::uint64_t my_nnz = 0;
-  std::uint64_t my_penc = 0;
-  std::vector<std::uint64_t> presence;
-  std::vector<std::uint8_t> pbuf;
-  if (coded) presence.resize((block + 63) / 64);
-  for (int q : parts) {
-    auto out = ws.out(q);
-    std::uint64_t nnz = 0;
-    if (coded) {
-      std::fill(presence.begin(), presence.end(), 0);
-      for (std::uint64_t v = 0; v < block; ++v) {
-        if ((out[v] & active) != 0) {
-          ++nnz;
-          presence[v >> 6] |= 1ull << (v & 63);
-        }
-      }
-      pbuf.clear();
-      const std::size_t nb =
-          graph::codec::encode_dense({presence.data(), presence.size()}, pbuf);
-      my_penc += static_cast<std::uint64_t>(nb);
-      p.charge(phase,
-               u.stream_pass_ns(block + presence.size() + (nb + 7) / 8));
-    } else {
-      for (std::uint64_t w : out) nnz += (w & active) != 0;
-      p.charge(phase, u.stream_pass_ns(block));
-    }
-    my_nnz = std::max(my_nnz, nnz);
-  }
-  const std::uint64_t max_nnz =
-      rt::allreduce_max(p, world, my_nnz, sim::Phase::stall);
-
-  const std::uint64_t lane_bytes =
-      (static_cast<std::uint64_t>(std::popcount(active)) + 7) / 8;
-  const std::uint64_t g = cfg.summary_granularity;
-  const std::uint64_t sum_bytes =
-      (graph::SummaryView::summary_bits_for(block, g) + 7) / 8;
-  const std::uint64_t presence_raw = block / 8;
-  std::uint64_t presence_bytes = presence_raw;
-  if (coded) {
-    // Mean over the np partition encodings (each chunk transits once per
-    // hop, so the honest charge is the summed volume divided out), same as
-    // the bitmap exchange. Measured gate: the codec rides only when the
-    // real encodings won on average.
-    const std::uint64_t enc_mean =
-        (rt::allreduce_sum(p, world, my_penc, sim::Phase::stall) +
-         static_cast<std::uint64_t>(np) - 1) /
-        static_cast<std::uint64_t>(np);
-    if (enc_mean < presence_raw) presence_bytes = enc_mean;
-  }
-  const bool presence_coded = presence_bytes < presence_raw;
-  const std::uint64_t chunk_bytes =
-      presence_bytes + sum_bytes + max_nnz * lane_bytes;
-  const std::uint64_t raw_chunk_bytes =
-      presence_raw + sum_bytes + max_nnz * lane_bytes;
-
   auto frontier = ws.frontier(p.rank);
-  auto in_s = ws.frontier_summary(p.rank);
-  // Merge of partition `src_part`'s out summary into the replica's frontier
-  // summary: a local group maps into at most two destination groups (when
-  // the granularity does not divide the block); mark() is atomic, so the
-  // parallel-subgroup path can merge disjoint blocks concurrently.
-  ExchangeHooks hooks;
-  hooks.copy_block = [&](int src_part) {
-    auto src = ws.out(src_part);
-    std::memcpy(frontier.data() + static_cast<std::uint64_t>(src_part) * block,
-                src.data(), block * 8);
-    if (src_part == p.rank) return;  // own chunk: no transmission
-    if (c.node_of(src_part) == p.node)
-      p.prof.counters().bytes_intra_node += chunk_bytes;
-    else
-      p.prof.counters().bytes_inter_node += chunk_bytes;
-    p.prof.counters().bytes_raw_equiv += raw_chunk_bytes;
-  };
-  hooks.reset_summary = [&] { in_s.bits().reset(); };
-  hooks.merge_summary = [&](int src_part) {
-    auto src = ws.out_summary(src_part);
-    const std::uint64_t base = static_cast<std::uint64_t>(src_part) * block;
-    src.bits().for_each_set(0, src.size_bits(), [&](std::uint64_t b) {
-      const std::uint64_t lo = base + b * g;
-      in_s.mark(lo);
-      in_s.mark(std::min(base + block, lo + g) - 1);
-    });
-  };
-
-  ExchangeShape shape;
-  shape.chunk_bytes = chunk_bytes;
-  shape.sum_words = (ws.summary_bits() + 63) / 64;
-  shape.shared = ws.shared_frontier();
-  shape.presence_coded = presence_coded;
-  shape.decode_words = (block + 63) / 64;
-  run_exchange_plan(p, cfg, u, phase, shape, hooks);
-  p.trace_instant(obs::kCatEngine, "wave.exchange",
-                  obs::kv("chunk_bytes", chunk_bytes) + "," +
-                      obs::kv("raw_bytes", raw_chunk_bytes) + "," +
-                      obs::kv("coded", presence_coded ? "yes" : "no"));
-
-  // Wipe the owned out blocks (and their summaries) for the next level.
-  for (int q : parts) {
+  std::vector<std::uint64_t> presence;
+  PresenceBlocks b;
+  b.trace_name = "wave.exchange";
+  b.block = block;
+  b.payload_bytes =
+      (static_cast<std::uint64_t>(std::popcount(active)) + 7) / 8;
+  b.replica_summary = ws.frontier_summary(p.rank);
+  b.scan = [&](int q, bool coded) {
     auto out = ws.out(q);
-    std::memset(out.data(), 0, out.size() * 8);
-    ws.out_summary(q).bits().reset();
-    p.charge(phase, u.stream_pass_ns(block));
-  }
-  p.barrier(world, sim::Phase::stall);  // wipes land before the next level
+    Presence pr;
+    if (!coded) {
+      for (std::uint64_t w : out) pr.nnz += (w & active) != 0;
+      pr.scan_words = block;
+      return pr;
+    }
+    presence.assign((block + 63) / 64, 0);
+    for (std::uint64_t v = 0; v < block; ++v) {
+      if ((out[v] & active) != 0) {
+        ++pr.nnz;
+        presence[v >> 6] |= 1ull << (v & 63);
+      }
+    }
+    pr.bits = presence;
+    pr.scan_words = block + presence.size();
+    return pr;
+  };
+  b.copy = [&](int q) {
+    std::memcpy(frontier.data() + static_cast<std::uint64_t>(q) * block,
+                ws.out(q).data(), block * 8);
+  };
+  b.out = [&](int q) { return ws.out(q); };
+  b.out_summary = [&](int q) { return ws.out_summary(q); };
+  presence_exchange(p, ws.config(), u, parts, b);
 }
 
 /// Wave reset: wipe all state, seed the sources, and return the summed

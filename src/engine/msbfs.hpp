@@ -12,10 +12,11 @@
 /// paper's sharing levels) like the hybrid BFS `in_queue`; each rank owns
 /// the lane words, per-lane distances and per-lane parents of its 1-D
 /// partition block. The per-level exchange allgathers the owned blocks of
-/// next-frontier words through the same collective plans as the bitmap
-/// exchange (flat ring / leader / parallel subgroups, rt::coll_model), with
-/// a measured-sparsity wire format: a presence bitmap plus the nonzero lane
-/// words, each carrying only ceil(active_lanes/8) bytes.
+/// next-frontier words through the presence exchange shared with the
+/// frontier programs (presence_exchange.hpp), on the bitmap exchange's
+/// collective plans, with a measured-sparsity wire format: a presence
+/// bitmap plus the nonzero lane words, each carrying only
+/// ceil(active_lanes/8) bytes.
 ///
 /// Per-lane retirement: a *full-distances* lane runs until its frontier
 /// drains; an *s–t reachability* lane retires the level its target is

@@ -486,4 +486,16 @@ std::unique_ptr<FrontierProgram> make_program(ProgramWorkload w,
   throw std::invalid_argument("make_program: unknown workload");
 }
 
+const FrontierProgram& ProgramCache::get(ProgramWorkload w,
+                                         const graph::DistGraph& dg,
+                                         std::uint64_t epoch) {
+  Slot& s = slots_[static_cast<std::size_t>(w)];
+  if (s.prog == nullptr || s.dg != &dg || s.epoch != epoch) {
+    s.prog = make_program(w, dg, pp_);
+    s.dg = &dg;
+    s.epoch = epoch;
+  }
+  return *s.prog;
+}
+
 }  // namespace numabfs::engine

@@ -20,6 +20,7 @@
 ///    forward adjacency (sorted, deduplicated, greater-id neighbors); the
 ///    count rides the sum-reduced accumulator.
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -39,6 +40,25 @@ const char* to_string(ProgramWorkload w);
 std::unique_ptr<FrontierProgram> make_program(ProgramWorkload w,
                                               const graph::DistGraph& dg,
                                               const ProgramParams& pp);
+
+/// One program instance per workload, built on first use and rebuilt when
+/// the graph or its epoch moves (instances hold graph-derived auxiliaries).
+class ProgramCache {
+ public:
+  explicit ProgramCache(const ProgramParams& pp) : pp_(pp) {}
+
+  const FrontierProgram& get(ProgramWorkload w, const graph::DistGraph& dg,
+                             std::uint64_t epoch);
+
+ private:
+  struct Slot {
+    std::unique_ptr<FrontierProgram> prog;
+    const graph::DistGraph* dg = nullptr;
+    std::uint64_t epoch = 0;
+  };
+  ProgramParams pp_;
+  std::array<Slot, 4> slots_;
+};
 
 /// PageRank value packing: (rank, residual) as two float32 in one Value.
 inline Value pack_pr(float rank, float residual) {

@@ -12,15 +12,19 @@ namespace numabfs::graph {
 
 class Partition1D {
  public:
+  /// Block alignment in bits. The exchanges rely on word-aligned blocks:
+  /// every chunk lands with one memcpy, and a block's presence bitmap is
+  /// exactly block / 8 bytes.
+  static constexpr std::uint64_t kAlignBits = 64;
+
   /// Partition [0, n) into `np` blocks of equal padded size, each a
-  /// multiple of `align_bits` (>= 64 keeps bitmap chunks word-disjoint).
-  Partition1D(std::uint64_t n, int np, std::uint64_t align_bits = 64)
-      : n_(n), np_(np) {
-    assert(np >= 1 && align_bits >= 1);
+  /// multiple of kAlignBits.
+  Partition1D(std::uint64_t n, int np) : n_(n), np_(np) {
+    assert(np >= 1);
     const std::uint64_t raw = (n + static_cast<std::uint64_t>(np) - 1) /
                               static_cast<std::uint64_t>(np);
-    block_ = (raw + align_bits - 1) / align_bits * align_bits;
-    if (block_ == 0) block_ = align_bits;
+    block_ = (raw + kAlignBits - 1) / kAlignBits * kAlignBits;
+    if (block_ == 0) block_ = kAlignBits;
   }
 
   std::uint64_t n() const { return n_; }

@@ -5,8 +5,9 @@
 /// Data movement is real (chunks are copied between rank buffers through
 /// the shared address space) and identical for every algorithm; the
 /// algorithms differ in the *modeled time* charged, which is where the
-/// paper's optimizations live. The BFS-specific shared-destination
-/// exchanges are built in bfs/comm_plan on the same primitives.
+/// paper's optimizations live. The BFS frontier exchanges land their chunks
+/// in node-shared destinations themselves and charge the same coll_model
+/// times through the plan core in bfs/exchange.hpp.
 
 #include <cstdint>
 #include <span>

@@ -254,7 +254,7 @@ double hier_alltoallv_ns(const Cluster& c, int span_nodes, int per_node,
   const double factor = min_nic_factor(c);
   // Intra-node peer traffic: bounced (CICO) unless the exchange buffers are
   // directly mapped (socket level — the paper's sharing idea applied to the
-  // fold, cf. the seed's shared_fold).
+  // fold).
   const double intra_factor =
       level == HierLevel::socket ? 1.0 : c.params().cico_factor;
   const double t_intra = intra_factor * static_cast<double>(node_intra_bytes) /
