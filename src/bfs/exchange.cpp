@@ -1,10 +1,12 @@
 #include "bfs/exchange.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+
+#include "obs/trace.hpp"
 
 namespace numabfs::bfs {
 
@@ -196,6 +198,17 @@ double run_plan(rt::Proc& p, const UnitCosts& u, sim::Phase phase,
   return total_ns;
 }
 
+std::string gate_trace_args(int level, const ExchangeLevelStats& ex) {
+  return obs::kv("level", level) + "," +
+         obs::kv("kind", codec::to_string(ex.codec)) + "," +
+         obs::kv("wire_bytes", ex.wire_bytes) + "," +
+         obs::kv("raw_bytes", ex.raw_bytes) + "," +
+         obs::kv("mean_pop", ex.gate.mean_pop) + "," +
+         obs::kv("raw_est_ns", ex.gate.raw_est_ns) + "," +
+         obs::kv("coded_est_ns", ex.gate.coded_est_ns) + "," +
+         obs::kv("reduce_ns", ex.gate.reduce_ns);
+}
+
 void decode_bitmap_checked(std::span<const std::uint8_t> in,
                            std::span<std::uint64_t> words, const char* what,
                            int src_rank) {
@@ -209,9 +222,9 @@ void decode_bitmap_checked(std::span<const std::uint8_t> in,
 
 GateResult gate_bitmap_chunks(
     rt::Proc& p, rt::Comm& comm, CodecMode mode, int pipeline_chunks,
-    std::span<GateChunk> chunks, std::uint64_t chunk_words,
-    std::uint64_t chunk_bits, std::uint64_t decode_chunks, const UnitCosts& u,
-    sim::Phase phase,
+    std::span<GateChunk> chunks, std::uint64_t set_bits,
+    std::uint64_t chunk_words, std::uint64_t chunk_bits,
+    std::uint64_t decode_chunks, const UnitCosts& u, sim::Phase phase,
     const std::function<double(std::uint64_t)>& plan_total_ns,
     double per_chunk_ns) {
   GateResult res;
@@ -222,35 +235,33 @@ GateResult gate_bitmap_chunks(
 
   // Chunks are skewed (R-MAT hubs cluster), and every collective plan moves
   // each chunk once per hop, so the honest per-chunk wire charge — and the
-  // gate's input — is the *mean* encoded chunk, not the densest one:
-  // allreduce the summed popcount / encoded bytes and divide by the global
+  // gate's input — is the *mean* encoded chunk, not the densest one: the
+  // global set-bit count (and below, encoded bytes) divided by the global
   // chunk count (== comm size: one chunk per partition).
-  std::uint64_t my_pop = 0;
-  for (const GateChunk& ch : chunks)
-    for (std::uint64_t w : ch.words)
-      my_pop += static_cast<std::uint64_t>(std::popcount(w));
-  p.charge(phase, u.stream_pass_ns(chunk_words * chunks.size()));
-  const std::uint64_t mean_pop =
-      rt::allreduce_sum(p, comm, my_pop, sim::Phase::stall) /
-      static_cast<std::uint64_t>(total);
+  res.mean_pop = set_bits / static_cast<std::uint64_t>(total);
 
   // Splitting into K chunks pays (K-1) * per_chunk_ns on top of the
   // pipelined time — the same charge the final exchange pays, so the gate
-  // optimizes exactly what is charged.
+  // optimizes exactly what is charged. A trial encode also pays the
+  // reduction of the measured sizes, the gate's one collective: at a
+  // thousand ranks its latency tree outweighs the bytes a codec saves on a
+  // small chunk, so it is priced into both coded estimates.
   const double split_ns = static_cast<double>(K - 1) * per_chunk_ns;
+  res.reduce_ns = cm::allreduce_scalar_ns(*p.cluster, total);
+  res.raw_est_ns = plan_total_ns(chunk_words * 8);
   const double enc_est = u.stream_pass_ns(chunk_words);
   const double dec_est = u.stream_pass_ns(decode_chunks * chunk_words);
-  const double raw_est = plan_total_ns(chunk_words * 8);
   const double dense_est =
-      enc_est + split_ns +
-      cm::pipelined2_ns(
-          plan_total_ns(codec::dense_estimate_bytes(chunk_words, mean_pop)),
-          dec_est, K);
+      res.reduce_ns + enc_est + split_ns +
+      cm::pipelined2_ns(plan_total_ns(codec::dense_estimate_bytes(
+                            chunk_words, res.mean_pop)),
+                        dec_est, K);
   const double sparse_est =
-      enc_est + split_ns +
-      cm::pipelined2_ns(
-          plan_total_ns(codec::sparse_estimate_bytes(mean_pop, chunk_bits)),
-          dec_est, K);
+      res.reduce_ns + enc_est + split_ns +
+      cm::pipelined2_ns(plan_total_ns(codec::sparse_estimate_bytes(
+                            res.mean_pop, chunk_bits)),
+                        dec_est, K);
+  res.coded_est_ns = std::min(dense_est, sparse_est);
 
   // The estimates assume uniform density, but chunks are skewed, so a level
   // whose *mean* density looks hopeless can still compress on its sparse
@@ -267,7 +278,7 @@ GateResult gate_bitmap_chunks(
       trial = codec::Kind::sparse_list;
       break;
     default:
-      if (std::min(dense_est, sparse_est) < raw_est * 1.5)
+      if (res.coded_est_ns < res.raw_est_ns * 1.5)
         trial = sparse_est <= dense_est ? codec::Kind::sparse_list
                                        : codec::Kind::dense_bitmap;
   }
@@ -276,6 +287,7 @@ GateResult gate_bitmap_chunks(
   // Encode for real; wire time is then charged on the *measured*
   // (allreduce-summed) encoded sizes, never on the gate's estimate.
   std::uint64_t my_enc = 0;
+  double encode_ns = 0;
   for (GateChunk& ch : chunks) {
     ch.enc->clear();
     std::size_t nb;
@@ -286,16 +298,18 @@ GateResult gate_bitmap_chunks(
     else
       nb = codec::encode_bitmap_sparse(ch.words, *ch.enc);
     my_enc += static_cast<std::uint64_t>(nb);
-    res.encode_ns += u.stream_pass_ns(chunk_words + (nb + 7) / 8);
+    encode_ns += u.stream_pass_ns(chunk_words + (nb + 7) / 8);
   }
-  p.charge(phase, res.encode_ns);
+  p.charge(phase, encode_ns);
+  std::array<std::uint64_t, 1> enc_sum{my_enc};
+  rt::allreduce(p, comm, enc_sum, std::array{rt::ReduceOp::sum},
+                sim::Phase::stall);
   const std::uint64_t enc_mean =
-      (rt::allreduce_sum(p, comm, my_enc, sim::Phase::stall) +
-       static_cast<std::uint64_t>(total) - 1) /
+      (enc_sum[0] + static_cast<std::uint64_t>(total) - 1) /
       static_cast<std::uint64_t>(total);
   if (mode != CodecMode::gate ||
       cm::pipelined2_ns(plan_total_ns(enc_mean), dec_est, K) + split_ns <
-          raw_est) {
+          res.raw_est_ns) {
     res.kind = trial;
     res.wire_chunk_bytes = enc_mean;
   }
@@ -310,49 +324,33 @@ ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
   const faults::FaultInjector* inj = c.injector();
   rt::Comm& world = c.world();
   const int np = c.nranks();
-  bool coded = st.config().codec != CodecMode::off && np > 1;
+  const bool try_codec = st.config().codec != CodecMode::off && np > 1;
 
-  // Trial-encode each owned partition's discovered list, then gate the
-  // whole level on the *measured* totals: tiny tail/startup lists inflate
-  // under varint headers (a 1-vertex list costs 5 coded bytes vs 4 raw),
-  // so the level publishes coded lists only when the allreduced encoded
-  // volume actually beat raw. Deterministic: every rank sees the same sums.
-  std::uint64_t my_enc = 0, my_raw = 0;
-  const auto encode_part = [&](int q) {
-    const auto& list = st.discovered(q);
-    if (list.empty()) return;  // absence is free raw, 2 bytes encoded
-    auto& buf = st.enc_buf(q);
-    buf.clear();
-    const std::size_t nb = codec::encode_list({list.data(), list.size()}, buf);
-    my_enc += nb;
-    my_raw += list.size() * sizeof(graph::Vertex);
-    p.charge(phase, u.stream_pass_ns(list.size() * sizeof(graph::Vertex) / 8 +
-                                     (nb + 7) / 8));
-  };
-  if (coded) {
-    for_owned_parts(p, parts, encode_part);
-    const std::uint64_t enc_sum =
-        rt::allreduce_sum(p, world, my_enc, sim::Phase::stall);
-    const std::uint64_t raw_sum =
-        rt::allreduce_sum(p, world, my_raw, sim::Phase::stall);
-    coded = enc_sum < raw_sum;  // encode cost is sunk; bytes decide
-  }
-
-  // Publish each owned partition's list — raw, or the delta-varint encoding
-  // from the partition's enc_buf (val then carries *bytes*, and the wire
-  // bytes below are measured from the real encoding). Adopted partitions
-  // are impersonated into the dead owners' slots so the dense assembly
-  // loop below needs no holes.
+  // Publish each owned partition's list, raw or delta-varint coded from the
+  // partition's enc_buf: each list rides coded only where its own encoding
+  // is smaller (tiny tail/startup lists inflate under varint headers: a
+  // 1-vertex list costs 5 coded bytes vs 4 raw), so no rank needs another's
+  // sizes and the exchange runs no reduction. The size slot carries the
+  // list's form in its low bit and its length above it: vertices raw, bytes
+  // coded. Adopted partitions are impersonated into the dead owners' slots
+  // so the dense assembly loop below needs no holes.
   const auto publish_part = [&](int q) {
     const auto& list = st.discovered(q);
-    if (!coded || list.empty()) {
-      world.publish_ptr(q, list.data());
-      world.publish_val(q, list.size());
-      return;
+    auto& buf = st.enc_buf(q);
+    const std::uint64_t raw = list.size() * sizeof(graph::Vertex);
+    if (try_codec && !list.empty()) {
+      buf.clear();
+      const std::size_t nb =
+          codec::encode_list({list.data(), list.size()}, buf);
+      p.charge(phase, u.stream_pass_ns(raw / 8 + (nb + 7) / 8));
+      if (nb < raw) {
+        world.publish_ptr(q, buf.data());
+        world.publish_val(q, buf.size() << 1 | 1);
+        return;
+      }
     }
-    const auto& buf = st.enc_buf(q);
-    world.publish_ptr(q, buf.data());
-    world.publish_val(q, buf.size());
+    world.publish_ptr(q, list.data());
+    world.publish_val(q, list.size() << 1);
   };
   for_owned_parts(p, parts, publish_part);
   p.barrier(world, sim::Phase::stall);  // lists ready
@@ -360,29 +358,28 @@ ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
   auto& frontier = st.frontier(p.rank);
   frontier.clear();
   ExchangeLevelStats stats;
-  if (coded) stats.codec = codec::Kind::sparse_list;
   std::uint64_t intra_bytes = 0, inter_bytes = 0;
+  std::uint64_t decode_bytes = 0;  // received coded lists, coded + raw
   for (int r = 0; r < np; ++r) {
-    std::uint64_t bytes;  // what rides the wire for this contribution
+    const bool coded = (world.val(r) & 1) != 0;
+    std::uint64_t bytes = world.val(r) >> 1;  // what rides the wire
     std::uint64_t count;
     if (coded) {
-      bytes = world.val(r);
+      stats.codec = codec::Kind::sparse_list;
       const auto* src = static_cast<const std::uint8_t*>(world.ptr(r));
       const std::size_t before = frontier.size();
-      if (bytes > 0) {
-        // Strict framing: a decode that stops short of the published size
-        // accepted a corrupted stream whose trailing bytes it never looked
-        // at — the checksummed-retransmit path needs a hard error instead.
-        const std::size_t used = codec::decode_list({src, bytes}, frontier);
-        if (used != bytes)
-          throw std::invalid_argument(
-              "exchange_sparse: list encoding from rank " + std::to_string(r) +
-              " decoded " + std::to_string(used) + " of " +
-              std::to_string(bytes) + " published bytes");
-      }
+      // Strict framing: a decode that stops short of the published size
+      // accepted a corrupted stream whose trailing bytes it never looked
+      // at — the checksummed-retransmit path needs a hard error instead.
+      const std::size_t used = codec::decode_list({src, bytes}, frontier);
+      if (used != bytes)
+        throw std::invalid_argument(
+            "exchange_sparse: list encoding from rank " + std::to_string(r) +
+            " decoded " + std::to_string(used) + " of " +
+            std::to_string(bytes) + " published bytes");
       count = frontier.size() - before;
     } else {
-      count = world.val(r);
+      count = bytes;
       const auto* src = static_cast<const graph::Vertex*>(world.ptr(r));
       frontier.insert(frontier.end(), src, src + count);
       bytes = count * sizeof(graph::Vertex);
@@ -390,16 +387,14 @@ ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
     if (r == p.rank) continue;
     stats.wire_bytes += bytes;
     stats.raw_bytes += count * sizeof(graph::Vertex);
-    if (c.node_of(r) == p.node)
-      intra_bytes += bytes;
-    else
-      inter_bytes += bytes;
+    if (coded) decode_bytes += bytes + count * sizeof(graph::Vertex);
+    (c.node_of(r) == p.node ? intra_bytes : inter_bytes) += bytes;
   }
   p.prof.counters().bytes_intra_node += intra_bytes;
   p.prof.counters().bytes_inter_node += inter_bytes;
   p.prof.counters().bytes_raw_equiv += stats.raw_bytes;
-  if (coded)  // decode pass over the received encodings
-    p.charge(phase, u.stream_pass_ns((stats.wire_bytes + stats.raw_bytes) / 8));
+  // The decode pass over the received encodings.
+  p.charge(phase, u.stream_pass_ns(decode_bytes / 8));
 
   const auto& cp = c.params();
   double inter_bw = c.link().nic_flow_bw(1, cm::min_nic_factor(c));
@@ -422,7 +417,8 @@ ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
 
 ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
-                                sim::Phase phase, std::span<const int> parts) {
+                                sim::Phase phase, std::uint64_t frontier_bits,
+                                std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
   const Config& cfg = st.config();
   const std::uint64_t block_bits = dg.part.block();
@@ -449,8 +445,8 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
   };
   for_owned_parts(p, parts, offer);
   const GateResult gate = gate_bitmap_chunks(
-      p, c.world(), cfg.codec, plan.chunks, gate_chunks, block_words,
-      block_bits, plan.assemble_chunks, u, phase,
+      p, c.world(), cfg.codec, plan.chunks, gate_chunks, frontier_bits,
+      block_words, block_bits, plan.assemble_chunks, u, phase,
       [&](std::uint64_t b) { return plan_time(c, plan, b).total_ns; },
       split_ns);
   const codec::Kind kind = gate.kind;
@@ -510,14 +506,12 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                   [&](int q) { clear_out_bits(p, dg, st, u, phase, q); });
   p.barrier(c.world(), sim::Phase::stall);  // wipes land before the next level
 
-  ex.codec = kind;
-  ex.chunk_raw_bytes = block_words * 8;
-  ex.chunk_wire_bytes = gate.wire_chunk_bytes;
+  ex.gate = gate;
   return ex;
 }
 
 ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
-                                          int next_dir,
+                                          int next_dir, std::uint64_t nf,
                                           std::span<const int> parts) {
   ExchangeLevelStats s;
   if (next_dir == 1) {
@@ -527,11 +521,12 @@ ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
     if (cur_dir == 0)
       for (int q : parts) discovered_to_out_bits(p, st_, u_, q);
     const ExchangeTimes ex =
-        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, parts);
-    s.codec = ex.codec;
-    s.wire_bytes = ex.chunk_wire_bytes;
-    s.raw_bytes = ex.chunk_raw_bytes;
+        exchange_frontier(p, dg_, st_, u_, sim::Phase::bu_comm, nf, parts);
+    s.codec = ex.gate.kind;
+    s.wire_bytes = ex.gate.wire_chunk_bytes;
+    s.raw_bytes = dg_.part.block() / 8;
     s.bitmap = true;
+    s.gate = ex.gate;
   } else {
     // Next level is top-down: the sparse list exchange suffices; when
     // leaving bottom-up, the stale out bitmaps are wiped on the way.

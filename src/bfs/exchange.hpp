@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "bfs/costs.hpp"
 #include "bfs/state.hpp"
@@ -98,30 +99,48 @@ double run_plan(rt::Proc& p, const UnitCosts& u, sim::Phase phase,
 
 // --- the 1-D hybrid's exchanges ------------------------------------------
 
+/// The gate's decision for one exchange leg, and what it decided from
+/// (zero inputs: the gate did not run).
+struct GateResult {
+  graph::codec::Kind kind = graph::codec::Kind::raw;
+  /// Mean measured encoded chunk (== raw chunk bytes when kind is raw);
+  /// the honest per-chunk wire charge for every collective plan.
+  std::uint64_t wire_chunk_bytes = 0;
+  std::uint64_t mean_pop = 0;  ///< mean set bits per chunk
+  double raw_est_ns = 0;       ///< the plan's time on raw chunks
+  double coded_est_ns = 0;     ///< best coded estimate, reduction included
+  double reduce_ns = 0;        ///< the priced trial reduction
+};
+
 /// What one frontier exchange moved, uniformly across decompositions.
 struct ExchangeLevelStats {
   graph::codec::Kind codec = graph::codec::Kind::raw;
   std::uint64_t wire_bytes = 0;  ///< measured bytes on the wire
   std::uint64_t raw_bytes = 0;   ///< their uncoded equivalent
   bool bitmap = false;           ///< bitmap family (vs sparse-list family)
+  GateResult gate;  ///< the bitmap gate's pick and inputs (none for lists)
 };
+
+/// The args of a level's `codec.gate` trace instant: what the exchange
+/// moved, and the inputs the bitmap gate decided from.
+std::string gate_trace_args(int level, const ExchangeLevelStats& ex);
 
 /// What one bitmap exchange charged and moved (DESIGN.md §10).
 struct ExchangeTimes {
   double total_ns = 0;  ///< modeled duration, link-degrade stretch included
-  graph::codec::Kind codec = graph::codec::Kind::raw;  ///< gate's pick
-  std::uint64_t chunk_raw_bytes = 0;   ///< per-rank raw contribution
-  std::uint64_t chunk_wire_bytes = 0;  ///< what actually rides the wire
+  GateResult gate;      ///< the codec and the per-chunk wire bytes
 };
 
 /// Bitmap exchange (used when the *next* level is bottom-up): the two
 /// allgathers of Fig. 1 rebuild in_queue and in_queue_summary from the
 /// out_queue chunks, then wipe the out structures. SPMD: all ranks call.
-/// Charges the modeled duration to `phase`. `parts` lists the caller's
-/// partitions (empty = own rank only).
+/// Charges the modeled duration to `phase`. `frontier_bits` is the number
+/// of bits set over every rank's out_queue chunk (the level's reduced
+/// discovered count), the codec gate's popcount. `parts` lists the
+/// caller's partitions (empty = own rank only).
 ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
                                 DistState& st, const UnitCosts& u,
-                                sim::Phase phase,
+                                sim::Phase phase, std::uint64_t frontier_bits,
                                 std::span<const int> parts = {});
 
 /// Sparse exchange (used when the next level is top-down): allgatherv of
@@ -130,9 +149,10 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
 /// negligible outside the bulge, which is why the paper's communication
 /// cost concentrates in the bottom-up phases. `wipe_out` additionally
 /// wipes the out bitmaps (set when the level that produced the frontier
-/// ran bottom-up, whose kernel marks them). `parts` as above. Reports the
-/// bytes this rank received off-rank; the codec is sparse_list when the
-/// lists rode delta-varint coded.
+/// ran bottom-up, whose kernel marks them). `parts` as above. Each list
+/// rides delta-varint coded where that is smaller than raw. Reports the
+/// bytes this rank received off-rank; the codec is sparse_list when any
+/// list rode coded.
 ExchangeLevelStats exchange_sparse(rt::Proc& p, const graph::DistGraph& dg,
                                    DistState& st, const UnitCosts& u,
                                    sim::Phase phase, bool wipe_out,
@@ -161,30 +181,23 @@ struct GateChunk {
   std::vector<std::uint8_t>* enc = nullptr;  ///< where the encoding lands
 };
 
-/// The gate's decision for one exchange leg.
-struct GateResult {
-  graph::codec::Kind kind = graph::codec::Kind::raw;
-  /// Mean measured encoded chunk (== raw chunk bytes when kind is raw);
-  /// the honest per-chunk wire charge for every collective plan.
-  std::uint64_t wire_chunk_bytes = 0;
-  double encode_ns = 0;  ///< modeled encode cost charged to this rank
-};
-
-/// Run the PR-4 codec gate over this rank's `chunks` (SPMD: all of `comm`
-/// participates): popcount + allreduce, analytic 1.5x pre-filter, trial
-/// encode, final pick on the allreduced measured bytes. `plan_total_ns`
-/// maps a per-chunk wire size to the modeled duration of the exchange's
-/// collective plan; `decode_chunks` is how many chunks one rank decodes.
-/// Chunks must share one geometry: `chunk_words` words covering
-/// `chunk_bits` vertex bits.
+/// Run the bitmap codec gate over this rank's `chunks` (SPMD: all of
+/// `comm` participates): analytic 1.5x pre-filter on the mean popcount,
+/// trial encode, final pick on the allreduced measured bytes. `set_bits`
+/// is the number of bits set over every member's chunks, which the caller
+/// knows from the level's reduced stats. `plan_total_ns` maps a per-chunk
+/// wire size to the modeled duration of the exchange's collective plan;
+/// `decode_chunks` is how many chunks one rank decodes. Chunks must share
+/// one geometry: `chunk_words` words covering `chunk_bits` vertex bits.
 /// `per_chunk_ns` is the extra cost each additional pipeline chunk adds to
 /// the plan (CostParams::chunk_split_overhead_ns); 0 keeps the legacy
 /// monotone-in-K behavior.
 GateResult gate_bitmap_chunks(
     rt::Proc& p, rt::Comm& comm, CodecMode mode, int pipeline_chunks,
-    std::span<GateChunk> chunks, std::uint64_t chunk_words,
-    std::uint64_t chunk_bits, std::uint64_t decode_chunks, const UnitCosts& u,
-    sim::Phase phase, const std::function<double(std::uint64_t)>& plan_total_ns,
+    std::span<GateChunk> chunks, std::uint64_t set_bits,
+    std::uint64_t chunk_words, std::uint64_t chunk_bits,
+    std::uint64_t decode_chunks, const UnitCosts& u, sim::Phase phase,
+    const std::function<double(std::uint64_t)>& plan_total_ns,
     double per_chunk_ns = 0.0);
 
 /// Strict-framing decode of one gated bitmap chunk: the encoding must
@@ -200,14 +213,17 @@ void decode_bitmap_checked(std::span<const std::uint8_t> in,
 /// 1-D hybrid and the 2-D grid decomposition sit: rebuild the next level's
 /// frontier inputs from the per-rank outputs of the level just finished.
 /// SPMD — every live rank calls exchange() with the same (cur, next)
-/// directions (0 = top-down, 1 = bottom-up); `parts` lists the caller's
-/// partitions (own plus adopted). Implementations route every leg through
-/// the shared codec gate and K-chunk wire/decode pipelining.
+/// directions (0 = top-down, 1 = bottom-up) and the same `nf`, the size of
+/// the next frontier from the level's reduced stats (the bitmap gates'
+/// popcount); `parts` lists the caller's partitions (own plus adopted).
+/// Implementations route every leg through the shared codec gates and
+/// K-chunk wire/decode pipelining.
 class FrontierExchange {
  public:
   virtual ~FrontierExchange() = default;
   virtual const char* name() const = 0;
   virtual ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
+                                      std::uint64_t nf,
                                       std::span<const int> parts) = 0;
 };
 
@@ -220,6 +236,7 @@ class OneDExchange final : public FrontierExchange {
       : dg_(dg), st_(st), u_(u) {}
   const char* name() const override { return "1d"; }
   ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
+                              std::uint64_t nf,
                               std::span<const int> parts) override;
 
  private:

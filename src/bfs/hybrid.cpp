@@ -1,5 +1,6 @@
 #include "bfs/hybrid.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -142,7 +143,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
     // Online direction controller (DESIGN.md §15): a per-rank object, but
     // every input it consumes is allreduced or rank-uniform, so all ranks
     // step identical state and reach identical decisions. Off, nothing is
-    // constructed and no extra reduction runs.
+    // constructed and its words stay out of the level's reduction.
     std::optional<tune::DirectionController> dctl;
     if (cfg.tune.adapt_direction && cfg.direction == Direction::hybrid)
       dctl.emplace(cfg.tune.window,
@@ -153,29 +154,30 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
 
     const std::uint64_t n = dg.n;
     const bool root_owned = root >= lg.vbegin && root < lg.vend;
-    std::uint64_t root_deg = root_owned ? lg.degree(root - lg.vbegin) : 0;
-    // Frontier stats of "level -1": the root alone.
-    std::uint64_t frontier_edges =
-        rt::allreduce_sum(p, world, root_deg, sim::Phase::stall);
-
+    // Frontier stats of "level -1" (the root alone) and the edges left to
+    // traverse: the very first level profits from knowing the root's degree.
+    std::array<std::uint64_t, 2> root_stats{
+        root_owned ? lg.degree(root - lg.vbegin) : 0,
+        st.unvisited_edges(p.rank)};
+    rt::allreduce(p, world, root_stats,
+                  std::array{rt::ReduceOp::sum, rt::ReduceOp::sum},
+                  sim::Phase::stall);
     int dir = cfg.direction == Direction::bottom_up_only ? 1 : 0;
-    // The very first level profits from knowing the root's degree.
-    if (cfg.direction == Direction::hybrid) {
-      const std::uint64_t rem = rt::allreduce_sum(
-          p, world, st.unvisited_edges(p.rank), sim::Phase::stall);
-      dir = beamer.first(frontier_edges, rem);
-    }
+    if (cfg.direction == Direction::hybrid)
+      dir = beamer.first(root_stats[0], root_stats[1]);
 
     std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
     std::uint64_t visited_total = 1;  // rank-uniform (allreduced nf sums)
 
     // Per-attempt level state: the kernel step fills it, finish reads it.
-    std::uint64_t nf = 0, mf = 0, rem = 0, kernel_edges = 0;
-    double kernel_ns = 0;
     sim::Counters cnt0;  // counters at level start
     double comp0 = 0, comm0 = 0;
 
+    // The level's stats words: discovered vertices and their edges, edges
+    // left unvisited, and the controller's kernel time and edge count.
+    enum : std::size_t { kNf, kMf, kRem, kKernelNs, kKernelEdges };
     LevelHooks hooks;
+    hooks.stats.assign(dctl ? 5 : 3, rt::ReduceOp::sum);
     hooks.save = [&](int q) {
       PartCheckpoint& ck = ckpt[static_cast<size_t>(q)];
       auto vw = st.visited(q).words();
@@ -203,44 +205,37 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       comp0 = p.prof.get(sim::Phase::td_comp) + p.prof.get(sim::Phase::bu_comp);
       comm0 = p.prof.comm_ns();
 
-      LevelResult lr;
-      std::uint64_t my_rem = 0;
+      const std::span<std::uint64_t> s = lv.stats;
       const double kernel_t0 = p.clock.now_ns();
       for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<size_t>(q)];
         const UnitCosts& qu = costs[static_cast<size_t>(q)];
         const LevelResult qr = dir == 0 ? top_down_level(p, qlg, qu, st, q)
                                         : bottom_up_level(p, qlg, qu, st, q);
-        lr.discovered += qr.discovered;
-        lr.discovered_edges += qr.discovered_edges;
-        my_rem += st.unvisited_edges(q);
+        s[kNf] += qr.discovered;
+        s[kMf] += qr.discovered_edges;
+        s[kRem] += st.unvisited_edges(q);
       }
-      kernel_ns = p.clock.now_ns() - kernel_t0;
-      kernel_edges = p.prof.counters().edges_scanned - cnt0.edges_scanned;
+      if (dctl) {
+        s[kKernelNs] = static_cast<std::uint64_t>(
+            std::llround(p.clock.now_ns() - kernel_t0));
+        s[kKernelEdges] = p.prof.counters().edges_scanned - cnt0.edges_scanned;
+      }
       p.trace_span(obs::kCatBfs, dir == 0 ? "td_kernel" : "bu_kernel",
                    kernel_t0, p.clock.now_ns(),
                    obs::kv("level", lv.number) + "," +
-                       obs::kv("discovered", lr.discovered));
-
-      nf = rt::allreduce_sum(p, world, lr.discovered, sim::Phase::stall);
-      mf = rt::allreduce_sum(p, world, lr.discovered_edges, sim::Phase::stall);
-      rem = rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
+                       obs::kv("discovered", s[kNf]));
     };
     hooks.finish = [&](const Level& lv) {
+      const std::uint64_t nf = lv.stats[kNf], mf = lv.stats[kMf],
+                          rem = lv.stats[kRem];
       // Completed-level accounting for the direction controller: the level
-      // survived crash detection, so its measurements are final. The two
-      // extra allreduces run only when the controller is engaged.
+      // survived crash detection, so its measurements are final.
       const std::uint64_t unvisited_before = n - visited_total;
       visited_total += nf;
-      if (dctl) {
-        const std::uint64_t lvl_ns_sum = rt::allreduce_sum(
-            p, world, static_cast<std::uint64_t>(std::llround(kernel_ns)),
-            sim::Phase::stall);
-        const std::uint64_t lvl_edges =
-            rt::allreduce_sum(p, world, kernel_edges, sim::Phase::stall);
-        dctl->observe(dir, static_cast<double>(lvl_ns_sum), lvl_edges,
-                      unvisited_before);
-      }
+      if (dctl)
+        dctl->observe(dir, static_cast<double>(lv.stats[kKernelNs]),
+                      lv.stats[kKernelEdges], unvisited_before);
 
       if (lv.recorder) {
         out.directions.push_back(dir);
@@ -288,12 +283,10 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
       // the sparse list exchange is the top-down queue handoff. Both sit
       // behind the unified FrontierExchange interface (DESIGN.md §13).
-      const ExchangeLevelStats ex = exchanger.exchange(p, dir, next, lv.parts);
+      const ExchangeLevelStats ex =
+          exchanger.exchange(p, dir, next, nf, lv.parts);
       p.trace_instant(obs::kCatBfs, "codec.gate",
-                      obs::kv("level", lv.number) + "," +
-                          obs::kv("kind", graph::codec::to_string(ex.codec)) +
-                          "," + obs::kv("wire_bytes", ex.wire_bytes) + "," +
-                          obs::kv("raw_bytes", ex.raw_bytes));
+                      gate_trace_args(lv.number, ex));
       if (lv.recorder) {
         (ex.bitmap ? out.bu_exchanges : out.td_exchanges)++;
         shared.ex_codec.push_back(static_cast<int>(ex.codec));

@@ -30,6 +30,7 @@ int LevelLoop::recorder() const {
 void LevelLoop::run(rt::Proc& p, int level, const LevelHooks& h, bool more) {
   rt::Comm& world = c_.world();
   std::vector<int> parts{p.rank};
+  std::vector<std::uint64_t> stats(h.stats.size());
   int handled_dead = 0;
   bool is_recorder = p.rank == recorder();
   const auto hit_horizon = [&] {
@@ -39,7 +40,7 @@ void LevelLoop::run(rt::Proc& p, int level, const LevelHooks& h, bool more) {
   };
 
   while (more) {
-    Level lv{level, p.clock.now_ns(), parts, is_recorder};
+    Level lv{level, p.clock.now_ns(), parts, is_recorder, stats};
 
     // Replica-outage horizon: checked only at clock-aligned points (level
     // entry, and the retirement boundary below), so every rank observes the
@@ -76,13 +77,16 @@ void LevelLoop::run(rt::Proc& p, int level, const LevelHooks& h, bool more) {
       return;
     }
 
+    std::fill(stats.begin(), stats.end(), 0);
     h.kernel(lv);
+    rt::allreduce(p, world, stats, h.stats, sim::Phase::stall);
 
     // Crash detection point. A rank dies at the start of a level, before
-    // contributing to its kernels or reductions; the kernel step's
-    // allreduces give every survivor a consistent view of the death.
-    // Recover by adopting the dead partitions, rolling every owned
-    // partition back to the boundary checkpoint, and re-running the level.
+    // contributing to its kernels or reductions; the level's reduction
+    // above cannot complete before the dead rank retired, so every survivor
+    // leaves it with the same view of the death. Recover by adopting the
+    // dead partitions, rolling every owned partition back to the boundary
+    // checkpoint, and re-running the level.
     if (inj_ != nullptr && inj_->dead_count() > handled_dead) {
       handled_dead = inj_->dead_count();
       const std::size_t owned_before = parts.size();

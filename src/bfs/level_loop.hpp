@@ -3,11 +3,12 @@
 /// The level-synchronous loop of the 1-D and 2-D BFS, the MS-BFS wave and
 /// the frontier programs, and the one implementation of its fault protocol
 /// (DESIGN.md §6). A driver keeps what is its own — state, kernels,
-/// reductions, exchange, what its checkpoint holds, what a finished level
-/// records — and hands the loop a level step plus a checkpoint save/restore
-/// pair. The loop owns the abort horizon, the epoch export, the boundary
-/// checkpoint and crash point, crash detection with adoption and rollback,
-/// and recorder election, in one order on every rank.
+/// exchange, what its checkpoint holds, what a finished level records — and
+/// hands the loop a level step, the ops of its per-level stats and a
+/// checkpoint save/restore pair. The loop owns the abort horizon, the epoch
+/// export, the boundary checkpoint and crash point, the level's one world
+/// reduction, crash detection with adoption and rollback, and recorder
+/// election, in one order on every rank.
 
 #include <atomic>
 #include <climits>
@@ -16,9 +17,11 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "faults/injector.hpp"
 #include "numasim/phase_profile.hpp"
+#include "runtime/allgather.hpp"
 #include "runtime/cluster.hpp"
 
 namespace numabfs::bfs {
@@ -29,11 +32,17 @@ struct Level {
   double t0 = 0;                ///< virtual time at level entry
   std::span<const int> parts;   ///< partitions this rank runs: own + adopted
   bool recorder = false;        ///< this rank writes the shared records
+  /// The level's stats words (LevelHooks::stats), zero on entry: `kernel`
+  /// writes this rank's contribution, the loop allreduces them, `finish`
+  /// reads the reduced values.
+  std::span<std::uint64_t> stats;
 };
 
 /// What a driver supplies. Every hook runs on the calling rank.
 struct LevelHooks {
-  /// Local kernels over `parts` and the level's allreduces. A crash
+  /// The op of each word of the level's one stats reduction.
+  std::vector<rt::ReduceOp> stats;
+  /// Local kernels over `parts`; fills the words of `stats`. A crash
   /// detected after it discards the attempt and runs it again, so it must
   /// leave nothing that the restore below does not roll back.
   std::function<void(const Level&)> kernel;

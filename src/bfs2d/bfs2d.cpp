@@ -1,6 +1,7 @@
 #include "bfs2d/bfs2d.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -325,7 +326,6 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     std::vector<std::uint64_t> frontier_sizes;
     std::vector<std::uint64_t> discovered;
     std::vector<int> expand_codec;
-    std::vector<char> fold_coded;
     double expand_ns_sum = 0;
     double fold_ns_sum = 0;
   } shared;
@@ -368,40 +368,43 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       p.barrier(world, sim::Phase::other);
     }
 
-    const std::uint64_t root_deg =
+    // The root's degree and the edges left to traverse, for the first
+    // level's direction.
+    std::array<std::uint64_t, 2> root_stats{
         g.owner(root) == p.rank
             ? dg.piece_deg[static_cast<std::size_t>(p.rank)]
                           [root - g.piece_begin(p.rank)]
-            : 0;
-    const std::uint64_t frontier_edges =
-        rt::allreduce_sum(p, world, root_deg, sim::Phase::stall);
-
+            : 0,
+        st.unvisited_edges[static_cast<std::size_t>(p.rank)]};
+    rt::allreduce(p, world, root_stats,
+                  std::array{rt::ReduceOp::sum, rt::ReduceOp::sum},
+                  sim::Phase::stall);
     int dir = opt.direction == bfs::Direction::bottom_up_only ? 1 : 0;
-    if (opt.direction == bfs::Direction::hybrid) {
-      const std::uint64_t rem0 = rt::allreduce_sum(
-          p, world, st.unvisited_edges[static_cast<std::size_t>(p.rank)],
-          sim::Phase::stall);
-      dir = beamer.first(frontier_edges, rem0);
-    }
+    if (opt.direction == bfs::Direction::hybrid)
+      dir = beamer.first(root_stats[0], root_stats[1]);
 
+    std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
     double my_expand_sum = 0, my_fold_sum = 0;
     // (Re)build the col-band inputs of the current level from the frontier
-    // pieces: the bootstrap from the root, and again after every rollback.
+    // pieces, which hold prev_nf bits: the bootstrap from the root, and
+    // again after every rollback.
     LegBytes in_legs;
     const auto build_inputs = [&](std::span<const int> parts) {
       ex.reset_legs();
-      ex.build_inputs(p, dir, parts);
+      ex.build_inputs(p, dir, prev_nf, parts);
       my_expand_sum += ex.last_expand_ns();
       in_legs = ex.legs();
     };
     build_inputs(std::vector<int>{p.rank});
 
-    std::uint64_t prev_nf = 1;
     // Per-attempt level state: the kernel step fills it, finish reads it.
     LegBytes cur_legs;
-    std::uint64_t nf = 0, mf = 0, rem = 0;
 
+    // The level's stats words: accepted claims, their edges, and the edges
+    // left unvisited.
+    enum : std::size_t { kNf, kMf, kRem };
     bfs::LevelHooks hooks;
+    hooks.stats.assign(3, rt::ReduceOp::sum);
     hooks.save = [&](int q) {
       const auto s = static_cast<std::size_t>(q);
       Ckpt2d& ck = ckpt[s];
@@ -453,23 +456,21 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       my_fold_sum += ex.last_fold_ns();
       cur_legs.fold_wire += ex.legs().fold_wire;
       cur_legs.fold_raw += ex.legs().fold_raw;
-      cur_legs.fold_coded = ex.legs().fold_coded;
 
-      std::uint64_t my_rem = 0;
+      lv.stats[kNf] = fr.discovered;
+      lv.stats[kMf] = fr.discovered_edges;
       for (int q : lv.parts)
-        my_rem += st.unvisited_edges[static_cast<std::size_t>(q)];
-      nf = rt::allreduce_sum(p, world, fr.discovered, sim::Phase::stall);
-      mf = rt::allreduce_sum(p, world, fr.discovered_edges, sim::Phase::stall);
-      rem = rt::allreduce_sum(p, world, my_rem, sim::Phase::stall);
+        lv.stats[kRem] += st.unvisited_edges[static_cast<std::size_t>(q)];
     };
     hooks.finish = [&](const bfs::Level& lv) {
+      const std::uint64_t nf = lv.stats[kNf], mf = lv.stats[kMf],
+                          rem = lv.stats[kRem];
       if (lv.recorder) {
         out.directions.push_back(dir);
         out.visited += nf;
         shared.frontier_sizes.push_back(prev_nf);
         shared.discovered.push_back(nf);
         shared.expand_codec.push_back(cur_legs.expand_codec);
-        shared.fold_coded.push_back(cur_legs.fold_coded ? 1 : 0);
       }
       const bool growing = nf > prev_nf;
       prev_nf = nf;
@@ -491,13 +492,11 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
                            : dir;
 
       ex.reset_legs();
-      const bfs::ExchangeLevelStats exs = ex.exchange(p, dir, next, lv.parts);
+      const bfs::ExchangeLevelStats exs =
+          ex.exchange(p, dir, next, nf, lv.parts);
       my_expand_sum += ex.last_expand_ns();
       p.trace_instant(obs::kCatBfs, "codec.gate",
-                      obs::kv("level", lv.number) + "," +
-                          obs::kv("kind", graph::codec::to_string(exs.codec)) +
-                          "," + obs::kv("wire_bytes", exs.wire_bytes) + "," +
-                          obs::kv("raw_bytes", exs.raw_bytes));
+                      bfs::gate_trace_args(lv.number, exs));
       // Split the exchange's legs: the claim-return served this level; the
       // transpose/expand belong to the level whose inputs they built.
       const LegBytes exl = ex.legs();
@@ -547,7 +546,6 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     t.frontier_vertices = shared.frontier_sizes[lvl];
     t.discovered = shared.discovered[lvl];
     t.expand_codec = shared.expand_codec[lvl];
-    t.fold_coded = shared.fold_coded[lvl] != 0;
     for (const auto& rl : rank_levels) {
       if (lvl >= rl.size()) continue;
       t.transpose_wire_bytes += rl[lvl].transpose_wire;

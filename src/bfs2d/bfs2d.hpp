@@ -155,7 +155,6 @@ struct Level2dTrace {
   std::uint64_t frontier_vertices = 0;
   std::uint64_t discovered = 0;
   int expand_codec = 0;   ///< graph::codec::Kind of the transpose/expand gate
-  bool fold_coded = false;
   std::uint64_t transpose_wire_bytes = 0, transpose_raw_bytes = 0;
   std::uint64_t expand_wire_bytes = 0, expand_raw_bytes = 0;
   std::uint64_t fold_wire_bytes = 0, fold_raw_bytes = 0;

@@ -1,5 +1,6 @@
 #include "bfs2d/exchange2d.hpp"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -48,6 +49,7 @@ State2d::State2d(const DistGraph2d& dg, std::uint64_t summary_granularity) {
 }
 
 bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
+                                                   std::uint64_t frontier_bits,
                                                    std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
   const faults::FaultInjector* inj = c.injector();
@@ -88,8 +90,8 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
     chunks.push_back(ch);
   });
   const bfs::GateResult gate = bfs::gate_bitmap_chunks(
-      p, world, opt_.codec, K, chunks, piece_words, g.piece_bits(),
-      static_cast<std::uint64_t>(R), u, phase, plan_total);
+      p, world, opt_.codec, K, chunks, frontier_bits, piece_words,
+      g.piece_bits(), static_cast<std::uint64_t>(R), u, phase, plan_total);
   const codec::Kind kind = gate.kind;
   legs_.expand_codec = static_cast<int>(kind);
 
@@ -196,6 +198,7 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
   s.wire_bytes = wire0;
   s.raw_bytes = raw0;
   s.bitmap = true;
+  s.gate = gate;
   return s;
 }
 
@@ -212,11 +215,11 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   const int K = std::max(1, opt_.exchange_chunks);
   const double t0 = p.clock.now_ns();
 
-  // Gate on measured list encodings, like the 1-D sparse exchange: trial
-  // encode, allreduce encoded vs raw totals, publish coded only on a win.
-  bool coded = opt_.codec != bfs::CodecMode::off && g.np() > 1;
-  if (coded) {
-    std::uint64_t my_enc = 0, my_raw = 0;
+  // Encode each outbox's claim lists, like the 1-D sparse exchange: a list
+  // rides coded only where its own encoding is smaller than raw, so no rank
+  // needs another's sizes and the fold runs no reduction. The encoding
+  // stays in enc_fold, which is left empty when the list rides raw.
+  if (opt_.codec != bfs::CodecMode::off && g.np() > 1) {
     bfs::for_owned_parts(p, parts, [&](int q) {
       for (int k = 0; k < C; ++k) {
         const auto& ch = st_.out_children[static_cast<std::size_t>(q)]
@@ -229,25 +232,21 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
         if (ch.empty()) continue;  // absence is free either way
         codec::encode_list({ch.data(), ch.size()}, buf);
         codec::encode_list({pa.data(), pa.size()}, buf);
-        my_enc += buf.size();
-        my_raw += (ch.size() + pa.size()) * sizeof(graph::Vertex);
         p.charge(phase, u.stream_pass_ns(ch.size() * sizeof(graph::Vertex) /
                                              4 +
                                          (buf.size() + 7) / 8));
+        if (buf.size() >= (ch.size() + pa.size()) * sizeof(graph::Vertex))
+          buf.clear();
       }
     });
-    const std::uint64_t enc_sum =
-        rt::allreduce_sum(p, world, my_enc, sim::Phase::stall);
-    const std::uint64_t raw_sum =
-        rt::allreduce_sum(p, world, my_raw, sim::Phase::stall);
-    coded = enc_sum < raw_sum;  // encode cost is sunk; bytes decide
   }
   p.barrier(world, sim::Phase::stall);  // outboxes and encodings ready
 
   FoldStats fs;
-  fs.coded = coded;
   std::uint64_t intra = 0, inter = 0;
   std::uint64_t claims_seen = 0, accepts = 0;
+  std::uint64_t decode_bytes = 0;  // received coded lists, coded + raw
+  bool coded = false;  // a claim list rode coded to this rank
   for (int q : parts) {
     const int iq = g.row_of(q);
     const int jq = g.col_of(q);
@@ -264,13 +263,13 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
                                            [static_cast<std::size_t>(jq)];
       const auto& raw_pa = st_.out_parents[static_cast<std::size_t>(peer)]
                                           [static_cast<std::size_t>(jq)];
+      const auto& buf = st_.enc_fold[static_cast<std::size_t>(peer)]
+                                    [static_cast<std::size_t>(jq)];
       const graph::Vertex* ch = raw_ch.data();
       const graph::Vertex* pa = raw_pa.data();
       std::size_t cnt = raw_ch.size();
       std::uint64_t bytes = cnt * 2 * sizeof(graph::Vertex);
-      if (coded && !raw_ch.empty()) {
-        const auto& buf = st_.enc_fold[static_cast<std::size_t>(peer)]
-                                      [static_cast<std::size_t>(jq)];
+      if (!buf.empty()) {
         dec_children_.clear();
         dec_parents_.clear();
         const std::size_t used1 =
@@ -304,6 +303,10 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
       }
       if (peer == q) continue;  // own claims never ride the wire
       const std::uint64_t raw_b = cnt * 2 * sizeof(graph::Vertex);
+      if (!buf.empty()) {
+        coded = true;
+        decode_bytes += bytes + raw_b;
+      }
       fs.wire_bytes += bytes;
       fs.raw_bytes += raw_b;
       legs_.fold_wire += bytes;
@@ -319,8 +322,7 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   p.charge(comp, (static_cast<double>(claims_seen) * u.visited_probe_ns +
                   static_cast<double>(accepts) * 2.0 * u.write_ns) /
                      u.omp_div);
-  const double dec_ns =
-      coded ? u.stream_pass_ns((fs.wire_bytes + fs.raw_bytes) / 8) : 0.0;
+  const double dec_ns = u.stream_pass_ns(decode_bytes / 8);
 
   // Modeled wire time: the row alltoallv is bounded by the node's NIC, so
   // the charge takes the whole node's inbound claim volume (every rank of a
@@ -336,12 +338,10 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
       if (peer == m) continue;
       const auto& raw_ch = st_.out_children[static_cast<std::size_t>(peer)]
                                            [static_cast<std::size_t>(jm)];
-      if (raw_ch.empty()) continue;
+      const auto& buf = st_.enc_fold[static_cast<std::size_t>(peer)]
+                                    [static_cast<std::size_t>(jm)];
       const std::uint64_t bytes =
-          coded ? st_.enc_fold[static_cast<std::size_t>(peer)]
-                              [static_cast<std::size_t>(jm)]
-                      .size()
-                : raw_ch.size() * 2 * sizeof(graph::Vertex);
+          buf.empty() ? raw_ch.size() * 2 * sizeof(graph::Vertex) : buf.size();
       (c.node_of(peer) == p.node ? node_intra : node_inter) += bytes;
     }
   }
@@ -352,7 +352,7 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   if (inj != nullptr) t /= inj->min_link_factor(p.clock.now_ns());
   // The owner decodes claim lists while later chunks are in flight
   // (K-chunk wire/decode pipelining, as on the bitmap legs).
-  if (coded && dec_ns > 0) t = bfs::overlap_decode_ns(p, t, dec_ns, K);
+  if (dec_ns > 0) t = bfs::overlap_decode_ns(p, t, dec_ns, K);
   p.charge(phase, t);
   last_fold_ns_ = t;
   p.barrier(world, phase);
@@ -368,7 +368,6 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
           .clear();
     }
   }
-  legs_.fold_coded = coded;
   p.barrier(world, sim::Phase::stall);
   p.trace_span(obs::kCatBfs, "2d.fold", t0, p.clock.now_ns(),
                obs::kv("coded", coded ? 1 : 0) + "," +
@@ -378,7 +377,7 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
 }
 
 bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
-                                               int next_dir,
+                                               int next_dir, std::uint64_t nf,
                                                std::span<const int> parts) {
   rt::Cluster& c = *p.cluster;
   const faults::FaultInjector* inj = c.injector();
@@ -452,7 +451,7 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
         chunks.push_back(ch);
       });
       const bfs::GateResult gate = bfs::gate_bitmap_chunks(
-          p, world, opt_.codec, K, chunks, piece_words, g.piece_bits(),
+          p, world, opt_.codec, K, chunks, nf, piece_words, g.piece_bits(),
           static_cast<std::uint64_t>(C), u, phase, plan_total);
       p.barrier(world, sim::Phase::stall);  // return encodings ready
 
@@ -510,7 +509,7 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
     rows_fresh_ = false;
   }
 
-  bfs::ExchangeLevelStats s = build_inputs(p, next_dir, parts);
+  bfs::ExchangeLevelStats s = build_inputs(p, next_dir, nf, parts);
   s.wire_bytes += ret_wire;
   s.raw_bytes += ret_raw;
   return s;

@@ -13,8 +13,9 @@
 ///   [fold]         row alltoallv of (child, parent) claims (hier_alltoallv)
 ///   [claim-return] row allgather of the new frontier pieces, bottom-up only
 /// The transpose and expand share one gate decision (the same pieces ride
-/// both), the fold gates on measured list encodings like the 1-D sparse
-/// exchange, and the claim-return gates independently (post-fold pieces).
+/// both), the fold codes each claim list that its encoding shrinks, like
+/// the 1-D sparse exchange, and the claim-return gates independently
+/// (post-fold pieces).
 
 #include <cstdint>
 #include <span>
@@ -61,7 +62,6 @@ struct State2d {
 
 /// What the fold leg moved and discovered (per calling rank).
 struct FoldStats {
-  bool coded = false;
   std::uint64_t wire_bytes = 0;
   std::uint64_t raw_bytes = 0;
   std::uint64_t discovered = 0;        ///< claims accepted at owned parts
@@ -77,7 +77,6 @@ struct LegBytes {
   std::uint64_t fold_wire = 0, fold_raw = 0;
   std::uint64_t ret_wire = 0, ret_raw = 0;
   int expand_codec = 0;  ///< graph::codec::Kind of the transpose/expand gate
-  bool fold_coded = false;
 };
 
 /// One rank's view of the 2-D exchange. SPMD: every live rank constructs
@@ -92,9 +91,12 @@ class TwoDExchange final : public bfs::FrontierExchange {
 
   /// Build the col-band frontier inputs for a level about to run `dir`:
   /// codec-gated transpose + hierarchical column expand, plus the summary
-  /// rebuild when the level is bottom-up. Re-entrant: crash recovery calls
-  /// it again after restoring the level-start frontier.
+  /// rebuild when the level is bottom-up. `frontier_bits` is the number of
+  /// bits set over every frontier piece (the gate's popcount). Re-entrant:
+  /// crash recovery calls it again after restoring the level-start
+  /// frontier.
   bfs::ExchangeLevelStats build_inputs(rt::Proc& p, int dir,
+                                       std::uint64_t frontier_bits,
                                        std::span<const int> parts);
 
   /// Route this level's claims along the rows and dedup at the owners
@@ -105,6 +107,7 @@ class TwoDExchange final : public bfs::FrontierExchange {
   /// replicas when the next level is bottom-up (claim-return, or the full
   /// rebuild on a td -> bu switch), then build_inputs for `next_dir`.
   bfs::ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
+                                   std::uint64_t nf,
                                    std::span<const int> parts) override;
 
   LegBytes& legs() { return legs_; }

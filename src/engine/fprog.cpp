@@ -1,6 +1,7 @@
 #include "engine/fprog.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -70,23 +71,29 @@ std::span<Value> ProgramState::val_out(int part) {
 
 namespace {
 
-/// Global sums / min / or of one level's statistics. Seven allreduces, the
-/// program analog of the wave's six: every rank leaves with the identical
-/// reduced view, which post_level() and the direction choice key off.
-ProgStats reduce_stats(rt::Proc& p, rt::Comm& world, const ProgStats& st) {
+/// A level's statistics as the words of its one reduction: five sums, the
+/// min-reduced program word and the or-reduced flags. Every rank leaves the
+/// reduction with the identical view, which post_level() and the direction
+/// choice key off. `sources` and `scanned` are local charging inputs, not
+/// control, and stay out.
+constexpr std::array kStatFields{
+    &ProgStats::changed, &ProgStats::frontier_edges, &ProgStats::needy,
+    &ProgStats::mu,      &ProgStats::acc,            &ProgStats::min_word,
+    &ProgStats::flags};
+constexpr std::array kStatOps{rt::ReduceOp::sum, rt::ReduceOp::sum,
+                              rt::ReduceOp::sum, rt::ReduceOp::sum,
+                              rt::ReduceOp::sum, rt::ReduceOp::min,
+                              rt::ReduceOp::bit_or};
+
+void put_stats(const ProgStats& st, std::span<std::uint64_t> w) {
+  for (std::size_t i = 0; i < kStatFields.size(); ++i)
+    w[i] = st.*kStatFields[i];
+}
+
+ProgStats reduced_stats(std::span<const std::uint64_t> w) {
   ProgStats r;
-  r.changed = rt::allreduce_sum(p, world, st.changed, sim::Phase::stall);
-  r.frontier_edges =
-      rt::allreduce_sum(p, world, st.frontier_edges, sim::Phase::stall);
-  r.needy = rt::allreduce_sum(p, world, st.needy, sim::Phase::stall);
-  r.mu = rt::allreduce_sum(p, world, st.mu, sim::Phase::stall);
-  r.acc = rt::allreduce_sum(p, world, st.acc, sim::Phase::stall);
-  // Min via the max of the complement (the runtime has no allreduce_min).
-  r.min_word =
-      ~rt::allreduce_max(p, world, ~st.min_word, sim::Phase::stall);
-  r.flags = rt::allreduce_or(p, world, st.flags, sim::Phase::stall);
-  r.sources = st.sources;  // local-only fields: charging inputs, not control
-  r.scanned = st.scanned;
+  for (std::size_t i = 0; i < kStatFields.size(); ++i)
+    r.*kStatFields[i] = w[i];
   return r;
 }
 
@@ -281,9 +288,11 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
                u.stream_pass_ns(ps.padded_words() +
                                 (ps.with_values() ? 2 * block : block)));
       p.barrier(world, sim::Phase::other);
-      const ProgStats rs = reduce_stats(p, world, st);
+      std::array<std::uint64_t, kStatOps.size()> w{};
+      put_stats(st, w);
+      rt::allreduce(p, world, w, kStatOps, sim::Phase::stall);
       prog_exchange(p, ps, u, own);
-      if (prog.direction_optimizing()) ch = choose(rs);
+      if (prog.direction_optimizing()) ch = choose(reduced_stats(w));
     } else {
       // Failover resume: owners reload val_out, each replica writer reloads
       // the checkpointed frontier (bits + values) and rebuilds its summary;
@@ -328,9 +337,8 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
       p.barrier(world, sim::Phase::other);
     }
 
-    ProgStats rs;  // the level's reduced view: the kernel step fills it
-
     bfs::LevelHooks hooks;
+    hooks.stats.assign(kStatOps.begin(), kStatOps.end());
     hooks.save = [&](int q) {
       if (!ps.with_values()) return;
       auto vo = ps.val_out(q);
@@ -397,9 +405,10 @@ ProgramResult run_program(rt::Cluster& c, const graph::DistGraph& dg,
                  costs[static_cast<std::size_t>(q)].stream_pass_ns(
                      2 * dg.locals[static_cast<std::size_t>(q)].owned()));
       }
-      rs = reduce_stats(p, world, st);
+      put_stats(st, lv.stats);
     };
     hooks.finish = [&](const bfs::Level& lv) {
+      const ProgStats rs = reduced_stats(lv.stats);
       // Every rank evolves its scalar copy from the identical reduced view.
       const bool conv = prog.post_level(scalars, rs, lv.number);
       if (lv.recorder) {

@@ -53,7 +53,8 @@ inline constexpr Value kProgInf = ~0ull;
 
 /// Per-level, per-partition work counts a program's kernels report. The
 /// engine charges modeled time from them and all-reduces the reduction
-/// fields; `reduced` views of this struct hold the global sums.
+/// fields; `reduced` views of this struct hold their global values (the
+/// local-only `sources` and `scanned` stay zero there).
 struct ProgStats {
   std::uint64_t changed = 0;         ///< out bits set (next frontier size)
   std::uint64_t sources = 0;         ///< frontier vertices processed (push)

@@ -1,6 +1,7 @@
 #include "engine/msbfs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -521,9 +522,10 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
             my_src_edges += lg.degree(s - lg.vbegin);
         }
       }
-      const std::uint64_t src_edges =
-          rt::allreduce_sum(p, world, my_src_edges, sim::Phase::stall);
-      ch = model.choose(static_cast<double>(src_edges),
+      std::array<std::uint64_t, 1> src_edges{my_src_edges};
+      rt::allreduce(p, world, src_edges, std::array{rt::ReduceOp::sum},
+                    sim::Phase::stall);
+      ch = model.choose(static_cast<double>(src_edges[0]),
                         static_cast<double>(std::popcount(active)),
                         static_cast<double>(dg.n),
                         static_cast<double>(dg.directed_edges));
@@ -536,10 +538,13 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
       import_wave(p, ws, *rck, u, active);
     }
 
-    // Per-attempt level state: the kernel step fills it, finish reads it.
-    std::uint64_t mf = 0, nf = 0, needy = 0, mu = 0, nonempty = 0, hits = 0;
-
+    // The level's stats words: the direction inputs (frontier edges,
+    // discovered vertices, needy vertices and their edges), the lanes whose
+    // frontier is nonempty and the lanes that hit their target.
+    enum : std::size_t { kMf, kNf, kNeedy, kMu, kNonempty, kHits };
     bfs::LevelHooks hooks;
+    hooks.stats.assign(4, rt::ReduceOp::sum);
+    hooks.stats.resize(6, rt::ReduceOp::bit_or);
     hooks.save = [&](int q) {
       auto seen = ws.seen(q);
       ckpt[static_cast<std::size_t>(q)].assign(seen.begin(), seen.end());
@@ -589,7 +594,7 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
       };
     }
     hooks.kernel = [&](const bfs::Level& lv) {
-      LevelStats ls;
+      const std::span<std::uint64_t> s = lv.stats;
       for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<std::size_t>(q)];
         const bfs::UnitCosts& qu = costs[static_cast<std::size_t>(q)];
@@ -599,24 +604,22 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
                                       ch.use_summary)
                         : sparse_level(p, qlg, qu, ws, q, active,
                                        static_cast<Dist>(lv.number), dg.n);
-        ls.discovered_vertices += qs.discovered_vertices;
-        ls.frontier_edges += qs.frontier_edges;
-        ls.or_mask |= qs.or_mask;
+        s[kNf] += qs.discovered_vertices;
+        s[kMf] += qs.frontier_edges;
+        s[kNonempty] |= qs.or_mask;
       }
 
       // Direction inputs for the next level, measured from the real seen
       // words: how many owned vertices still miss an active lane, and how
       // many adjacency entries they would put in play. One streaming pass
       // over seen + degrees per partition, charged as switch overhead.
-      std::uint64_t my_needy = 0;
-      std::uint64_t my_mu = 0;
       for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<std::size_t>(q)];
         auto seen = ws.seen(q);
         for (std::uint64_t v = 0; v < qlg.owned(); ++v) {
           if ((active & ~seen[v]) != 0) {
-            ++my_needy;
-            my_mu += qlg.degree(v);
+            ++s[kNeedy];
+            s[kMu] += qlg.degree(v);
           }
         }
         p.charge(sim::Phase::switch_conv,
@@ -625,7 +628,6 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
       }
 
       // s-t hits are detected at the target's owner.
-      std::uint64_t my_hits = 0;
       for (int q : lv.parts) {
         const auto& qlg = dg.locals[static_cast<std::size_t>(q)];
         auto seen = ws.seen(q);
@@ -635,22 +637,17 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
             continue;
           if (wq.target >= qlg.vbegin && wq.target < qlg.vend &&
               (seen[wq.target - qlg.vbegin] >> l & 1))
-            my_hits |= 1ull << l;
+            s[kHits] |= 1ull << l;
         }
       }
-
-      mf = rt::allreduce_sum(p, world, ls.frontier_edges, sim::Phase::stall);
-      nf = rt::allreduce_sum(p, world, ls.discovered_vertices,
-                             sim::Phase::stall);
-      needy = rt::allreduce_sum(p, world, my_needy, sim::Phase::stall);
-      mu = rt::allreduce_sum(p, world, my_mu, sim::Phase::stall);
-      nonempty = rt::allreduce_or(p, world, ls.or_mask, sim::Phase::stall);
-      hits = rt::allreduce_or(p, world, my_hits, sim::Phase::stall);
     };
     hooks.finish = [&](const bfs::Level& lv) {
+      const std::uint64_t nonempty = lv.stats[kNonempty],
+                          hits = lv.stats[kHits];
       // Retirement: s-t lanes on a hit, k-hop lanes at radius, any lane
-      // whose frontier drained. Clocks are aligned here (the allreduces end
-      // with a barrier), so the recorder's now is everyone's now.
+      // whose frontier drained. Clocks are aligned here (the level's
+      // reduction ends with a barrier), so the recorder's now is everyone's
+      // now.
       std::uint64_t retired = 0;
       for (int l = 0; l < nq; ++l) {
         if (!(active >> l & 1)) continue;
@@ -692,8 +689,10 @@ WaveResult run_wave(rt::Cluster& c, const graph::DistGraph& dg, WaveState& ws,
       trace_level();
 
       // Next level's kernel, from the measured state.
-      ch = model.choose(static_cast<double>(mf), static_cast<double>(nf),
-                        static_cast<double>(needy), static_cast<double>(mu));
+      ch = model.choose(static_cast<double>(lv.stats[kMf]),
+                        static_cast<double>(lv.stats[kNf]),
+                        static_cast<double>(lv.stats[kNeedy]),
+                        static_cast<double>(lv.stats[kMu]));
       return true;
     };
 

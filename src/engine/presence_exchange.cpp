@@ -1,6 +1,7 @@
 #include "engine/presence_exchange.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -39,8 +40,12 @@ void presence_exchange(rt::Proc& p, const bfs::Config& cfg,
     p.charge(phase, u.stream_pass_ns(words));
     my_nnz = std::max(my_nnz, pr.nnz);
   }
-  const std::uint64_t max_nnz =
-      rt::allreduce_max(p, world, my_nnz, sim::Phase::stall);
+  // One reduction: the densest partition's nonzeros, which size every
+  // chunk's payload, and the summed encodings (zero with the codec off).
+  std::array<std::uint64_t, 2> red{my_nnz, my_enc};
+  rt::allreduce(p, world, red, std::array{rt::ReduceOp::max, rt::ReduceOp::sum},
+                sim::Phase::stall);
+  const std::uint64_t max_nnz = red[0];
 
   const std::uint64_t g = cfg.summary_granularity;
   const std::uint64_t sum_bytes =
@@ -53,8 +58,7 @@ void presence_exchange(rt::Proc& p, const bfs::Config& cfg,
     // the bitmap exchange. Measured gate: the codec rides only when the
     // real encodings won on average.
     const std::uint64_t enc_mean =
-        (rt::allreduce_sum(p, world, my_enc, sim::Phase::stall) +
-         static_cast<std::uint64_t>(np) - 1) /
+        (red[1] + static_cast<std::uint64_t>(np) - 1) /
         static_cast<std::uint64_t>(np);
     if (enc_mean < presence_raw) presence_bytes = enc_mean;
   }

@@ -35,7 +35,12 @@ std::size_t emit_raw_words(std::span<const std::uint64_t> words,
 
 /// True if the summary proves word `w` of the encoded span (absolute bits
 /// [base + w*64, base + w*64 + 64)) is all zero, so the encoder may skip
-/// reading it.
+/// reading it. The guide can be a node-shared map that sibling ranks are
+/// still marking for their own ranges (the 1-D gate trial-encodes right
+/// after a td -> bu switch's conversion, with no barrier between), so it
+/// is read atomically. The encoded span's own marks are settled, and a
+/// sibling's set bit only makes the encoder look, so the output does not
+/// depend on the timing.
 bool guide_says_zero(const SummaryView& guide, std::uint64_t base,
                      std::size_t w) {
   const std::uint64_t g = guide.granularity();
@@ -45,7 +50,7 @@ bool guide_says_zero(const SummaryView& guide, std::uint64_t base,
   if (sb_lo >= guide.size_bits()) return false;
   if (sb_hi >= guide.size_bits()) sb_hi = guide.size_bits() - 1;
   for (std::uint64_t sb = sb_lo; sb <= sb_hi; ++sb)
-    if (guide.covers(sb * g)) return false;
+    if (guide.covers_atomic(sb * g)) return false;
   return true;
 }
 

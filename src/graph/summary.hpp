@@ -38,6 +38,16 @@ class SummaryView {
   /// True if the summary admits any set bit in the block covering `pos`.
   bool covers(std::uint64_t pos) const { return bits_.get(pos / g_); }
 
+  /// covers() on a map that other writers may be marking meanwhile: a
+  /// relaxed atomic read of the summary word, to pair with mark(). The
+  /// caller's own marks are settled; other writers' may not show yet.
+  bool covers_atomic(std::uint64_t pos) const {
+    const std::uint64_t bit = pos / g_;
+    BitmapView bits = bits_;  // the view is const, not the words
+    std::atomic_ref<std::uint64_t> ref(bits.words()[bit >> 6]);
+    return (ref.load(std::memory_order_relaxed) >> (bit & 63)) & 1u;
+  }
+
   /// Mark the block covering `pos`. Atomic: a summary word can straddle two
   /// writers' vertex ranges even when the ranges themselves are
   /// word-disjoint.

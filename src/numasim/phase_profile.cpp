@@ -34,6 +34,7 @@ Counters& Counters::operator+=(const Counters& o) {
   recv_timeouts += o.recv_timeouts;
   adoptions += o.adoptions;
   delta_probes += o.delta_probes;
+  reductions += o.reductions;
   return *this;
 }
 

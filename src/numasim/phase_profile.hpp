@@ -53,6 +53,10 @@ struct Counters {
   /// graph layer, DESIGN.md section 14): the measured read amplification
   /// of serving off base-plus-deltas instead of a compacted CSR.
   std::uint64_t delta_probes = 0;
+  /// Vector allreduces this rank joined (rt::allreduce), so tests can pin
+  /// the reductions a traversal pays: one per root set-up and per level,
+  /// plus the exchanges' own.
+  std::uint64_t reductions = 0;
 
   Counters& operator+=(const Counters& o);
 };

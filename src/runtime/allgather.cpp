@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "faults/errors.hpp"
 #include "faults/hash.hpp"
@@ -174,47 +175,33 @@ coll_model::CollTimes allgather(Proc& p, Comm& comm,
   return t;
 }
 
-namespace {
-
-enum class ReduceOp { sum, max, bit_or };
-
-std::uint64_t allreduce_impl(Proc& p, Comm& comm, std::uint64_t v, ReduceOp op,
-                             sim::Phase phase) {
+void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
+               std::span<const ReduceOp> ops, sim::Phase phase) {
+  assert(words.size() == ops.size());
   const faults::FaultInjector* inj = p.cluster->injector();
   const int idx = comm.index_of(p.rank);
   assert(idx >= 0);
-  comm.publish_val(idx, v);
+  comm.publish_ptr(idx, words.data());
   p.barrier(comm, phase);
-  std::uint64_t acc = 0;
+  std::vector<std::uint64_t> acc(words.begin(), words.end());
   for (int i = 0; i < comm.size(); ++i) {
     // Dead members' slots hold stale values from before the crash.
-    if (inj != nullptr && inj->dead(comm.world_rank(i))) continue;
-    switch (op) {
-      case ReduceOp::sum: acc += comm.val(i); break;
-      case ReduceOp::max: acc = std::max(acc, comm.val(i)); break;
-      case ReduceOp::bit_or: acc |= comm.val(i); break;
+    if (i == idx || (inj != nullptr && inj->dead(comm.world_rank(i))))
+      continue;
+    const auto* v = static_cast<const std::uint64_t*>(comm.ptr(i));
+    for (std::size_t w = 0; w < acc.size(); ++w) {
+      switch (ops[w]) {
+        case ReduceOp::sum: acc[w] += v[w]; break;
+        case ReduceOp::max: acc[w] = std::max(acc[w], v[w]); break;
+        case ReduceOp::min: acc[w] = std::min(acc[w], v[w]); break;
+        case ReduceOp::bit_or: acc[w] |= v[w]; break;
+      }
     }
   }
   p.charge(phase, coll_model::allreduce_scalar_ns(*p.cluster, comm.size()));
-  p.barrier(comm, phase);
-  return acc;
-}
-
-}  // namespace
-
-std::uint64_t allreduce_sum(Proc& p, Comm& comm, std::uint64_t v,
-                            sim::Phase phase) {
-  return allreduce_impl(p, comm, v, ReduceOp::sum, phase);
-}
-
-std::uint64_t allreduce_max(Proc& p, Comm& comm, std::uint64_t v,
-                            sim::Phase phase) {
-  return allreduce_impl(p, comm, v, ReduceOp::max, phase);
-}
-
-std::uint64_t allreduce_or(Proc& p, Comm& comm, std::uint64_t v,
-                           sim::Phase phase) {
-  return allreduce_impl(p, comm, v, ReduceOp::bit_or, phase);
+  ++p.prof.counters().reductions;
+  p.barrier(comm, phase);  // every member has read every contribution
+  std::copy(acc.begin(), acc.end(), words.begin());
 }
 
 }  // namespace numabfs::rt

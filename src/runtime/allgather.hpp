@@ -37,13 +37,17 @@ coll_model::CollTimes allgather(Proc& p, Comm& comm,
                                 std::span<std::uint64_t> dst,
                                 AllgatherAlgo algo, sim::Phase phase);
 
-/// Allreduce of one scalar over `comm` (latency-bound tree model).
-std::uint64_t allreduce_sum(Proc& p, Comm& comm, std::uint64_t v,
-                            sim::Phase phase);
-std::uint64_t allreduce_max(Proc& p, Comm& comm, std::uint64_t v,
-                            sim::Phase phase);
-/// Bitwise-OR allreduce (lane masks of the multi-source BFS engine).
-std::uint64_t allreduce_or(Proc& p, Comm& comm, std::uint64_t v,
-                           sim::Phase phase);
+/// Per-word operation of a vector allreduce.
+enum class ReduceOp { sum, max, min, bit_or };
+
+/// Allreduce of a handful of words over `comm`: word i combines every live
+/// member's word i with `ops[i]`. `words` holds this rank's contribution on
+/// entry and the reduced values on exit; every member passes the same ops.
+/// Dead members' slots hold stale values from before the crash and are
+/// skipped. The words ride one eager message, so the call is charged one
+/// latency-bound tree (coll_model::allreduce_scalar_ns) whatever their
+/// count, and counts one reduction on the calling rank.
+void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
+               std::span<const ReduceOp> ops, sim::Phase phase);
 
 }  // namespace numabfs::rt

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "runtime/allgather.hpp"
 #include "runtime/coll_model.hpp"
 
 namespace numabfs::rt::coll_model {
@@ -127,6 +129,30 @@ TEST(CollModel, AllreduceScalesLogarithmically) {
   const double t128 = allreduce_scalar_ns(c, 128);
   EXPECT_NEAR(t128 / t2, 7.0, 1e-9);
   EXPECT_DOUBLE_EQ(allreduce_scalar_ns(c, 1), 0.0);
+}
+
+TEST(CollModel, VectorAllreduceChargesOneScalarTree) {
+  // The words of rt::allreduce ride one eager message: 1 to 7 words cost
+  // exactly one latency tree of the comm, and count one reduction.
+  Cluster c(make(16, 8));
+  for (std::size_t k = 1; k <= 7; ++k) {
+    c.run([&](Proc& p) {
+      Comm& node = c.node_comm(p.node);
+      std::vector<std::uint64_t> w(k, 1);
+      const std::vector<ReduceOp> ops(k, ReduceOp::sum);
+      allreduce(p, c.world(), w, ops, sim::Phase::stall);
+      EXPECT_EQ(w[k - 1], 128u);
+      allreduce(p, node, w, ops, sim::Phase::other);
+      EXPECT_EQ(w[0], 8u * 128u);
+    });
+    for (const auto& pr : c.profiles()) {
+      EXPECT_DOUBLE_EQ(pr.get(sim::Phase::stall), allreduce_scalar_ns(c, 128))
+          << k << " words";
+      EXPECT_DOUBLE_EQ(pr.get(sim::Phase::other), allreduce_scalar_ns(c, 8))
+          << k << " words";
+      EXPECT_EQ(pr.counters().reductions, 2u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,16 +31,29 @@ struct Fixture {
 };
 
 /// Deterministic pseudo-random out pattern for rank r.
+bool in_pattern(std::uint64_t v, int r) {
+  return graph::splitmix64(v * 31 + static_cast<std::uint64_t>(r)) % 5 == 0;
+}
+
 void fill_out(DistState& st, const graph::DistGraph& dg, int r) {
   auto out_q = st.out_queue(r);
   auto out_s = st.out_summary(r);
   const std::uint64_t vb = dg.part.begin(r), ve = dg.part.end(r);
   for (std::uint64_t v = vb; v < ve; ++v) {
-    if (graph::splitmix64(v * 31 + static_cast<std::uint64_t>(r)) % 5 == 0) {
+    if (in_pattern(v, r)) {
       out_q.set(v);
       out_s.mark(v);
     }
   }
+}
+
+/// Bits fill_out sets over every rank (the exchange's frontier size).
+std::uint64_t pattern_bits(const graph::DistGraph& dg) {
+  std::uint64_t n = 0;
+  for (int r = 0; r < dg.part.np(); ++r)
+    for (std::uint64_t v = dg.part.begin(r); v < dg.part.end(r); ++v)
+      n += in_pattern(v, r) ? 1 : 0;
+  return n;
 }
 
 class ExchangePlans : public ::testing::TestWithParam<int> {};
@@ -80,9 +93,9 @@ TEST_P(ExchangePlans, AssemblesIdenticalFrontiers) {
   for (int r = 0; r < np; ++r) {
     const std::uint64_t vb = f.dg.part.begin(r), ve = f.dg.part.end(r);
     for (std::uint64_t v = vb; v < ve; ++v)
-      if (graph::splitmix64(v * 31 + static_cast<std::uint64_t>(r)) % 5 == 0)
-        expect_q.view().set(v);
+      if (in_pattern(v, r)) expect_q.view().set(v);
   }
+  const std::uint64_t nf = pattern_bits(f.dg);
 
   const StructSizes sz{};  // unit costs irrelevant for data correctness
   const UnitCosts u = unit_costs(f.cluster, cfg, sz);
@@ -90,7 +103,7 @@ TEST_P(ExchangePlans, AssemblesIdenticalFrontiers) {
   f.cluster.run([&](rt::Proc& p) {
     fill_out(st, f.dg, p.rank);
     p.barrier(f.cluster.world(), sim::Phase::stall);
-    exchange_frontier(p, f.dg, st, u, sim::Phase::bu_comm);
+    exchange_frontier(p, f.dg, st, u, sim::Phase::bu_comm, nf);
   });
 
   const std::uint64_t g = cfg.summary_granularity;
@@ -160,10 +173,11 @@ TEST(Exchange, TimesAreIdenticalAcrossRanks) {
   Fixture f(2, 8);
   DistState st(f.dg, par_allgather(), 2, 8);
   const UnitCosts u{};
+  const std::uint64_t nf = pattern_bits(f.dg);
   f.cluster.run([&](rt::Proc& p) {
     fill_out(st, f.dg, p.rank);
     p.barrier(f.cluster.world(), sim::Phase::stall);
-    exchange_frontier(p, f.dg, st, u, sim::Phase::bu_comm);
+    exchange_frontier(p, f.dg, st, u, sim::Phase::bu_comm, nf);
     p.barrier(f.cluster.world(), sim::Phase::stall);
   });
   // Bitmap exchanges are symmetric: every rank must end clock-aligned with
@@ -177,6 +191,7 @@ TEST(Exchange, TimesAreIdenticalAcrossRanks) {
 TEST(Exchange, ShareReducesModeledTotal) {
   Fixture f(4, 8);
   const UnitCosts u{};
+  const std::uint64_t nf = pattern_bits(f.dg);
   double prev = 1e300;
   for (int plan : {0, 2, 3, 4}) {
     const Config cfg = plan_config(plan);
@@ -186,7 +201,7 @@ TEST(Exchange, ShareReducesModeledTotal) {
       fill_out(st, f.dg, p.rank);
       p.barrier(f.cluster.world(), sim::Phase::stall);
       const ExchangeTimes t =
-          exchange_frontier(p, f.dg, st, u, sim::Phase::bu_comm);
+          exchange_frontier(p, f.dg, st, u, sim::Phase::bu_comm, nf);
       if (p.rank == 0) total = t.total_ns;
     });
     EXPECT_LT(total, prev) << "plan " << plan;

@@ -8,8 +8,9 @@
 // Each digest folds the run's virtual time, the time of every phase, the
 // decode-overlap saving and the three byte counters, so any change to a
 // plan choice, a wire-cost term or the order of two charges shows up here.
-// The digests were recorded before the 1-D, wave, program and 2-D
-// exchanges shared one plan core.
+// The digests were recorded with one vector allreduce per level, owned by
+// the level loop, and with codec gates that run no reductions beyond the
+// bitmap gate's priced trial.
 
 #include <gtest/gtest.h>
 
@@ -158,57 +159,57 @@ std::uint64_t run_one_d(Driver d, harness::Experiment& e,
 constexpr std::uint64_t kWant[5][3][7] = {
     // Bfs1d
     {
-     {0x58769eb3cc2b5bbfull, 0xc73375801a9c3f30ull, 0x72c55653eba7a735ull,
-      0xd74cbdfdb17b1680ull, 0x200eec71e3717560ull, 0x2509542f4fa53865ull,
-      0xd2842a5b32e8acf3ull},
-     {0xad9ed27e42f935afull, 0xb3cd23eabd472761ull, 0x397aa96c81a5fb9ull,
-      0xd2996402524a9e88ull, 0xc11777b3c6bb2d1eull, 0xbed14ae61900e73full,
-      0x5b0f015c55946482ull},
-     {0xf13d3a08abb013d1ull, 0x5aa2cd666ef40411ull, 0x734332eb5c141385ull,
-      0x734332eb5c141385ull, 0x3c4d909bf6ee89d2ull, 0x1a5b3a3ad32cfbc1ull,
-      0x7fb206e2637f852cull},
+     {0xc3869a5387c7da90ull, 0x1bd6a0dd8dd11c73ull, 0x4b6c023573ca43c8ull,
+      0x1b56d3626cc20d8full, 0x43879363a25e10a3ull, 0xc0060dd56d7fc4fcull,
+      0x731d3ebd436f7c4dull},
+     {0xa9a1b0cad8c1a47aull, 0xb1eac9f392d28060ull, 0x12292101e000566eull,
+      0x64c7b04f494a382eull, 0x4d60e3b7fda586f6ull, 0x5f05e8a5f720fce9ull,
+      0x18ef7dbc381fed6bull},
+     {0xfcf6563e580969a2ull, 0x91bdfb13529cedb2ull, 0x619e44708e5371full,
+      0x619e44708e5371full, 0x67cdc28f9996f78dull, 0x491dcd176cf5f4a1ull,
+      0xeb2aacb54109b9a1ull},
     },
     // Wave
     {
-     {0x4f495289354cb96eull, 0x2654bcca38884146ull, 0x8b686bafe3f9fae3ull,
-      0x5d14c62a97c0cd97ull, 0x6888ff76747c36d4ull, 0x94db6b3fc2f47200ull,
-      0x6888ff76747c36d4ull},
-     {0xc1f823ba6d20cf0full, 0x3ef23b8c34be6101ull, 0x3f43d1faa1082424ull,
-      0xbc3a82789e6bb9feull, 0xc02637db645b0d19ull, 0xf4d8b6f9c095286full,
-      0xc02637db645b0d19ull},
-     {0xf9aad2c9afe1eab9ull, 0xa4fcc332d605a738ull, 0x39add43c9f19ce27ull,
-      0x56a2b96327b255f0ull, 0x354cf738b0b0b9bbull, 0x1fa4bb7368e92100ull,
-      0x354cf738b0b0b9bbull},
+     {0xd3d599bd90491610ull, 0xa783832ea077a161ull, 0xd5acaf10278ab66full,
+      0x8ec1c7f5c01444e4ull, 0xc2ab1052463ace40ull, 0xcacb65021c8ab4afull,
+      0xc2ab1052463ace40ull},
+     {0x63bc8db3b306f9a9ull, 0x8656369bf4dc9a0eull, 0x677fbeb02d4a75f3ull,
+      0xe5a4371e400a3befull, 0x2a114ba7922d1aafull, 0x1544c2635752de37ull,
+      0x2a114ba7922d1aafull},
+     {0x91841a52d7d0b53eull, 0x81570145f4547fb7ull, 0xe1a74d4ba5d64b96ull,
+      0xb807502382544990ull, 0xa0c9afaa109c3437ull, 0x1928cd7fbbbb67f7ull,
+      0xa0c9afaa109c3437ull},
     },
     // Sssp
     {
-     {0xaf7450c78ed69febull, 0xcd699b2e7e3a2f77ull, 0x4e24d52fbf5676eaull,
-      0xd0beed6bb13858baull, 0xf2ee5b9a887dc36dull, 0x596c1822f3becf1ull,
-      0xf2ee5b9a887dc36dull},
-     {0x601238bbee4c35ebull, 0x147509a31f2555cfull, 0x782b47b34ea29a9aull,
-      0x6470523463eda71cull, 0x70a539eb22b49a0full, 0xc0bf0eb65adf3b43ull,
-      0x70a539eb22b49a0full},
-     {0x41950d57179200a8ull, 0xe9d15bd5d4e8b89aull, 0x5286437df31c72daull,
-      0x714ddf7795c83faeull, 0xee747a57629cd85eull, 0x91d16fe1b00e347bull,
-      0xee747a57629cd85eull},
+     {0x4d594e675f466de6ull, 0x7b9b4e41ed50c1ddull, 0x199cb0cd8fee6bebull,
+      0xc67d1ee645c1fccfull, 0xc67895441dcbfa8aull, 0x447bf5595a99924bull,
+      0xc67895441dcbfa8aull},
+     {0x216245d119d5b619ull, 0xbc1beee699f94635ull, 0x9d5bb7a5fc738aull,
+      0x4c78003cae2e1da5ull, 0x26acf018b8db71aeull, 0x326a92518ba52399ull,
+      0x26acf018b8db71aeull},
+     {0x647a157714cf46a6ull, 0xc69e66aa65a0ed3eull, 0x982edf6643a9f3d4ull,
+      0x7348ca72383ed242ull, 0x61f7a9095a7c9feaull, 0xa6bc791a076f3773ull,
+      0x61f7a9095a7c9feaull},
     },
     // Components
     {
-     {0x337100dd92012613ull, 0xbf80885f07ec3f1eull, 0x1099c94a84d7ce5bull,
-      0x94e9bafab65844bull, 0x8d49cacac715315eull, 0xe4353a9631cc64efull,
-      0x8d49cacac715315eull},
-     {0x49dff62ba270462dull, 0x9e57e4198d7e55ccull, 0xf10960692cb6ea50ull,
-      0x8c7ff6e81bc15d89ull, 0xbf96f093b9445f54ull, 0xced26372a68ad6c6ull,
-      0xbf96f093b9445f54ull},
-     {0xe8d2761a115acb93ull, 0xc08ab97b10968465ull, 0xb3e76f380eea842full,
-      0xecf954f5d73394bdull, 0xbbbbd4e4be9e88f4ull, 0x60ca6d581a3ca1d0ull,
-      0xbbbbd4e4be9e88f4ull},
+     {0x2f1c6749a0f1eb6ull, 0xd272d91295ea3c2cull, 0x66ab0453f895f7b4ull,
+      0x26ff1a3deb8f350aull, 0x25a043a1c6261601ull, 0x7daf11a98a54cfb6ull,
+      0x25a043a1c6261601ull},
+     {0x49b7977bb44b8ea2ull, 0x877ada676bb5e125ull, 0x8278511a22b1a06full,
+      0x27a14fc6b5e86e93ull, 0xe47c62539edfc454ull, 0xbb0364967be660dfull,
+      0xe47c62539edfc454ull},
+     {0x7277135ed11ba797ull, 0x57280cce4355c87eull, 0xdf5483525a81e3c4ull,
+      0xeadaddd72cdf97c7ull, 0x8bd05f8f4e90ccd5ull, 0x97f1e339146f5b62ull,
+      0x8bd05f8f4e90ccd5ull},
     },
     // Bfs2d
     {
-     {0x794b5408789e5528ull, 0xdac4a59f55fbd50dull, 0x206603456e493cdull},
-     {0xb2538b0ceddb832dull, 0x5426a26fe838382dull, 0x769a0ae4dd695448ull},
-     {0xaf4aae808e318064ull, 0x59d262396b24ebccull, 0x568c0487a7758819ull},
+     {0xcb1c4f1c9658e936ull, 0x7cf6d7033fce768aull, 0x670bddc65b21188dull},
+     {0x61b1c8d5f81bf56eull, 0x2601fff62504c43bull, 0xe5df55d203a19aafull},
+     {0x1366034ae996ad97ull, 0x39ac98144cdb8994ull, 0x624d27c2dd12978cull},
     },
 };
 

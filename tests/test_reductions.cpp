@@ -1,0 +1,123 @@
+// The world reductions a traversal pays, as a checked property. The design
+// predicts, per rank: one for the root set-up, one per level (the level
+// loop's stats reduction, whatever words the traversal fills) and one per
+// presence exchange. A codec-gated 1-D or 2-D run adds at most one trial
+// reduction per gated bitmap leg; the list exchanges add none.
+// sim::Counters::reductions counts one per rt::allreduce per rank, and the
+// run's profile_avg sums it over ranks.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "bfs/config.hpp"
+#include "bfs2d/bfs2d.hpp"
+#include "engine/msbfs.hpp"
+#include "engine/programs.hpp"
+#include "harness/graph500.hpp"
+
+namespace numabfs {
+namespace {
+
+constexpr int kNodes = 2;
+constexpr int kPpn = 4;
+constexpr std::uint64_t kRanks = kNodes * kPpn;
+
+const harness::GraphBundle& bundle() {
+  static const harness::GraphBundle b =
+      harness::GraphBundle::make(11, 16, 7, 4);
+  return b;
+}
+
+harness::Experiment experiment() {
+  harness::ExperimentOptions opt;
+  opt.nodes = kNodes;
+  opt.ppn = kPpn;
+  return harness::Experiment(bundle(), opt);
+}
+
+std::uint64_t reductions(const sim::PhaseProfile& avg) {
+  return avg.counters().reductions;
+}
+
+std::uint64_t levels(int n) { return static_cast<std::uint64_t>(n); }
+
+TEST(Reductions, OneDPaysOnePerRootAndLevel) {
+  harness::Experiment e = experiment();
+  bfs::Config tuned = bfs::original();
+  tuned.tune.adapt_direction = true;  // its words ride the level's reduction
+  for (const bfs::Config& cfg : {bfs::original(), tuned}) {
+    const auto r = e.run_validated(cfg, bundle().roots[0]).first;
+    EXPECT_EQ(reductions(r.profile_avg), kRanks * (1 + levels(r.levels)));
+  }
+}
+
+TEST(Reductions, TwoDPaysOnePerRootAndLevel) {
+  harness::Experiment e = experiment();
+  const auto grid = bfs2d::Grid2d::make(bundle().csr.num_vertices(),
+                                        kNodes * kPpn, kPpn);
+  const auto d2 = bfs2d::DistGraph2d::build(bundle().csr, grid);
+  bfs2d::Bfs2dOptions hier;
+  hier.hier = rt::coll_model::HierLevel::node;
+  const auto r = bfs2d::run_bfs_2d(e.cluster(), d2, bundle().roots[0],
+                                   nullptr, hier);
+  EXPECT_EQ(reductions(r.profile_avg), kRanks * (1 + levels(r.levels)));
+}
+
+TEST(Reductions, WaveAddsOnePerPresenceExchange) {
+  harness::Experiment e = experiment();
+  engine::WaveState ws(e.dist(), bfs::original(), kNodes, kPpn, false);
+  std::vector<engine::WaveQuery> qs;
+  for (const graph::Vertex s : bundle().roots)
+    qs.push_back({engine::QueryKind::full_distances, s, 0, 0});
+  const auto r = engine::run_wave(e.cluster(), e.dist(), ws, qs);
+  // The sources' degree sum, then every level but the last exchanges.
+  EXPECT_EQ(reductions(r.profile_avg),
+            kRanks * (1 + levels(r.levels) + levels(r.levels) - 1));
+}
+
+TEST(Reductions, SsspAddsOnePerPresenceExchange) {
+  harness::Experiment e = experiment();
+  const auto prog =
+      engine::make_program(engine::ProgramWorkload::sssp, e.dist(), {});
+  engine::ProgramState ps(e.dist(), bfs::original(), kNodes, kPpn,
+                          prog->with_values());
+  const auto r = engine::run_program(e.cluster(), e.dist(), ps, *prog,
+                                     {bundle().roots[0], bundle().roots[1]});
+  ASSERT_TRUE(r.converged);
+  // The seed's stats and exchange, then every level but the converging one
+  // exchanges.
+  EXPECT_EQ(reductions(r.profile_avg),
+            kRanks * (2 + levels(r.levels) + levels(r.levels) - 1));
+}
+
+TEST(Reductions, GatedRunsAddAtMostOneTrialPerBitmapLeg) {
+  harness::Experiment e = experiment();
+  const auto r1 = e.run_validated(bfs::compressed(), bundle().roots[0]).first;
+  const std::uint64_t base1 = 1 + levels(r1.levels);
+  EXPECT_GE(reductions(r1.profile_avg), kRanks * base1);
+  EXPECT_LE(reductions(r1.profile_avg),
+            kRanks * (base1 + levels(r1.bu_exchanges)));
+  EXPECT_EQ(reductions(r1.profile_avg) % kRanks, 0u);
+
+  const auto grid = bfs2d::Grid2d::make(bundle().csr.num_vertices(),
+                                        kNodes * kPpn, kPpn);
+  const auto d2 = bfs2d::DistGraph2d::build(bundle().csr, grid);
+  bfs2d::Bfs2dOptions coded;
+  coded.hier = rt::coll_model::HierLevel::node;
+  coded.codec = bfs::CodecMode::gate;
+  coded.exchange_chunks = 4;
+  const auto r2 = bfs2d::run_bfs_2d(e.cluster(), d2, bundle().roots[0],
+                                    nullptr, coded);
+  // Gated legs: an expand per level (the bootstrap's and one per exchange)
+  // and at most one claim-return per exchange.
+  const std::uint64_t base2 = 1 + levels(r2.levels);
+  EXPECT_GE(reductions(r2.profile_avg), kRanks * base2);
+  EXPECT_LE(reductions(r2.profile_avg),
+            kRanks * (base2 + levels(r2.levels) + levels(r2.levels) - 1));
+  EXPECT_EQ(reductions(r2.profile_avg) % kRanks, 0u);
+}
+
+}  // namespace
+}  // namespace numabfs

@@ -7,11 +7,13 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "faults/errors.hpp"
+#include "faults/injector.hpp"
 #include "runtime/allgather.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/p2p.hpp"
@@ -100,14 +102,21 @@ TEST(Barrier, ProfileTotalsMatchClock) {
   });
 }
 
+/// One word through the vector allreduce.
+std::uint64_t reduce1(Proc& p, Comm& comm, std::uint64_t v, ReduceOp op) {
+  std::array<std::uint64_t, 1> w{v};
+  allreduce(p, comm, w, std::array{op}, sim::Phase::other);
+  return w[0];
+}
+
 TEST(Allreduce, SumAndMax) {
   Cluster c(topo(2), sim::CostParams{}, 8);
   c.run([&](Proc& p) {
-    const std::uint64_t s = allreduce_sum(
-        p, c.world(), static_cast<std::uint64_t>(p.rank), sim::Phase::other);
+    const std::uint64_t s = reduce1(
+        p, c.world(), static_cast<std::uint64_t>(p.rank), ReduceOp::sum);
     EXPECT_EQ(s, 120u);  // 0+..+15
-    const std::uint64_t m = allreduce_max(
-        p, c.world(), static_cast<std::uint64_t>(p.rank * 3), sim::Phase::other);
+    const std::uint64_t m = reduce1(
+        p, c.world(), static_cast<std::uint64_t>(p.rank * 3), ReduceOp::max);
     EXPECT_EQ(m, 45u);
   });
 }
@@ -116,13 +125,67 @@ TEST(Allreduce, SubCommunicators) {
   Cluster c(topo(4), sim::CostParams{}, 8);
   c.run([&](Proc& p) {
     Comm& node = c.node_comm(p.node);
-    const std::uint64_t s =
-        allreduce_sum(p, node, 1, sim::Phase::other);
+    const std::uint64_t s = reduce1(p, node, 1, ReduceOp::sum);
     EXPECT_EQ(s, 8u);
     Comm& sg = c.subgroup(p.local);
-    const std::uint64_t s2 = allreduce_sum(p, sg, 10, sim::Phase::other);
+    const std::uint64_t s2 = reduce1(p, sg, 10, ReduceOp::sum);
     EXPECT_EQ(s2, 40u);
   });
+}
+
+TEST(Allreduce, EachWordTakesItsOwnOp) {
+  // Word i of every member combines under ops[i], over the world, a node
+  // comm and a subgroup; the words come back in order.
+  Cluster c(topo(4), sim::CostParams{}, 8);
+  const std::array ops{ReduceOp::sum, ReduceOp::max, ReduceOp::min,
+                       ReduceOp::bit_or};
+  c.run([&](Proc& p) {
+    for (Comm* comm :
+         {&c.world(), &c.node_comm(p.node), &c.subgroup(p.local)}) {
+      const auto r = static_cast<std::uint64_t>(p.rank);
+      std::array<std::uint64_t, 4> w{r, 3 * r, r + 5, 1ull << r};
+      allreduce(p, *comm, w, ops, sim::Phase::other);
+      std::array<std::uint64_t, 4> want{0, 0, ~0ull, 0};
+      for (int m : comm->members()) {
+        const auto mr = static_cast<std::uint64_t>(m);
+        want[0] += mr;
+        want[1] = std::max(want[1], 3 * mr);
+        want[2] = std::min(want[2], mr + 5);
+        want[3] |= 1ull << mr;
+      }
+      EXPECT_EQ(w, want) << "rank " << p.rank << " comm of " << comm->size();
+    }
+  });
+}
+
+TEST(Allreduce, SkipsACrashedMembersStaleSlot) {
+  // The crashed rank joined one reduction, so its slot still points at
+  // words it published then. The survivors' next reduction must skip it.
+  Cluster c(topo(2), sim::CostParams{}, 4);
+  auto inj = std::make_shared<faults::FaultInjector>(faults::FaultPlan{},
+                                                     c.nranks(), c.ppn());
+  c.set_fault_injector(inj);
+  constexpr int dead = 5;
+  const std::array ops{ReduceOp::sum, ReduceOp::max, ReduceOp::min,
+                       ReduceOp::bit_or};
+  c.run([&](Proc& p) {
+    const auto r = static_cast<std::uint64_t>(p.rank);
+    const bool big = p.rank == dead;
+    std::array<std::uint64_t, 4> w{1, big ? 1000 : r, big ? 0u : 10u,
+                                   big ? 1ull << 40 : 1ull << r};
+    allreduce(p, c.world(), w, ops, sim::Phase::other);
+    EXPECT_EQ(w, (std::array<std::uint64_t, 4>{8, 1000, 0,
+                                               0xdfull | 1ull << 40}));
+    if (p.rank == dead) {
+      inj->mark_dead(p.rank);
+      c.retire_rank(p);
+      return;
+    }
+    std::array<std::uint64_t, 4> w2{1, r, 10, 1ull << r};
+    allreduce(p, c.world(), w2, ops, sim::Phase::other);
+    EXPECT_EQ(w2, (std::array<std::uint64_t, 4>{7, 7, 10, 0xdfull}));
+  });
+  c.set_fault_injector(nullptr);
 }
 
 class AllgatherAlgos : public ::testing::TestWithParam<AllgatherAlgo> {};
