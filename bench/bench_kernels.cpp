@@ -1,12 +1,15 @@
 /// Kernel microbenchmarks (google-benchmark): the host-side primitives the
 /// simulator's wall-clock depends on — bitmap scans, summary rebuilds,
-/// copy_bits assembly, R-MAT generation, CSR construction and the 1-D slice
-/// and 2-D block builds. These measure *host* time (not virtual time); they
-/// guard against performance regressions in the simulator itself. ctest
-/// runs every one briefly as `smoke_bench_kernels`.
+/// copy_bits assembly, R-MAT generation, CSR construction, the 1-D slice
+/// and 2-D block builds, and the world reduction every level pays. These
+/// measure *host* time (not virtual time); they guard against performance
+/// regressions in the simulator itself. ctest runs every one briefly as
+/// `smoke_bench_kernels`.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -19,6 +22,8 @@
 #include "graph/partition.hpp"
 #include "graph/rmat.hpp"
 #include "graph/summary.hpp"
+#include "runtime/allgather.hpp"
+#include "runtime/cluster.hpp"
 
 namespace {
 
@@ -230,6 +235,42 @@ void BM_Block2dBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_directed_edges()));
 }
 BENCHMARK(BM_Block2dBuild)->Arg(16)->Unit(benchmark::kMillisecond);
+
+/// Host time of one 3-word world reduction (the level loop's stats) over a
+/// nodes x 4 cluster, measured by rank 0 across kReps reductions inside one
+/// Cluster::run, so rank spawn stays out of it.
+void BM_WorldAllreduce(benchmark::State& state) {
+  namespace rt = numabfs::rt;
+  constexpr int kReps = 32;
+  constexpr std::array kOps{rt::ReduceOp::sum, rt::ReduceOp::max,
+                            rt::ReduceOp::bit_or};
+  rt::Cluster c(numabfs::sim::Topology::xeon_x7550_cluster(
+                    static_cast<int>(state.range(0))),
+                numabfs::sim::CostParams{}, 4);
+  for (auto _ : state) {
+    double secs = 0;
+    c.run([&](rt::Proc& p) {
+      const auto r = static_cast<std::uint64_t>(p.rank);
+      const std::array<std::uint64_t, 3> mine{1, r, 1ull << (r % 64)};
+      std::array<std::uint64_t, 3> w = mine;
+      // Untimed: when it returns, every rank has been spawned.
+      rt::allreduce(p, c.world(), w, kOps, numabfs::sim::Phase::stall);
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kReps; ++i) {
+        w = mine;
+        rt::allreduce(p, c.world(), w, kOps, numabfs::sim::Phase::stall);
+      }
+      if (p.rank == 0)
+        secs = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+      benchmark::DoNotOptimize(w);
+    });
+    state.SetIterationTime(secs / kReps);
+  }
+}
+BENCHMARK(BM_WorldAllreduce)->Arg(8)->Arg(256)->UseManualTime()->Unit(
+    benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -244,10 +244,11 @@ GateResult gate_bitmap_chunks(
   // pipelined time — the same charge the final exchange pays, so the gate
   // optimizes exactly what is charged. A trial encode also pays the
   // reduction of the measured sizes, the gate's one collective: at a
-  // thousand ranks its latency tree outweighs the bytes a codec saves on a
-  // small chunk, so it is priced into both coded estimates.
+  // thousand ranks its latency rounds outweigh the bytes a codec saves on
+  // a small chunk, so it is priced into both coded estimates, at exactly
+  // the charge rt::allreduce pays.
   const double split_ns = static_cast<double>(K - 1) * per_chunk_ns;
-  res.reduce_ns = cm::allreduce_scalar_ns(*p.cluster, total);
+  res.reduce_ns = cm::allreduce_ns(*p.cluster, comm);
   res.raw_est_ns = plan_total_ns(chunk_words * 8);
   const double enc_est = u.stream_pass_ns(chunk_words);
   const double dec_est = u.stream_pass_ns(decode_chunks * chunk_words);

@@ -321,8 +321,7 @@ std::shared_ptr<const Snapshot> SnapshotManager::pin(std::uint64_t epoch,
   if (!any) {
     // Clean pin: the base itself is the view (no read amplification).
     snap->graph = std::shared_ptr<const graph::DistGraph>(base_, &base_->dg);
-    snap->pin_ns =
-        rt::coll_model::allreduce_scalar_ns(cluster_, cluster_.nranks());
+    snap->pin_ns = rt::coll_model::allreduce_ns(cluster_, cluster_.world());
   } else {
     auto mv = std::make_shared<MergedView>();
     mv->base = base_;
@@ -350,8 +349,7 @@ std::shared_ptr<const Snapshot> SnapshotManager::pin(std::uint64_t epoch,
     g.directed_edges = directed;
     snap->graph = std::shared_ptr<const graph::DistGraph>(std::move(mv), &g);
     snap->pin_ns =
-        rt::coll_model::allreduce_scalar_ns(cluster_, cluster_.nranks()) +
-        max_rank_ns;
+        rt::coll_model::allreduce_ns(cluster_, cluster_.world()) + max_rank_ns;
   }
 
   if (metrics_ != nullptr) metrics_->counter("dyn.pins").add(1);
@@ -416,8 +414,7 @@ CompactionStats SnapshotManager::compact(double now_ns) {
     max_rank_ns = std::max(max_rank_ns, words * cp.stream_word_ns);
   }
   cs.merge_ns = max_rank_ns;
-  cs.pause_ns =
-      rt::coll_model::allreduce_scalar_ns(cluster_, cluster_.nranks());
+  cs.pause_ns = rt::coll_model::allreduce_ns(cluster_, cluster_.world());
   cs.bytes_merged =
       (base_->csr.num_directed_edges() + nc.num_directed_edges()) *
           sizeof(graph::Vertex) +

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <set>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "faults/errors.hpp"
 #include "faults/hash.hpp"
@@ -23,19 +22,11 @@ const char* to_string(AllgatherAlgo a) {
 
 namespace {
 
-/// Distinct nodes spanned by a comm (group shape for the time model).
-int nodes_spanned(const Cluster& c, const Comm& comm) {
-  std::set<int> nodes;
-  for (int r : comm.members()) nodes.insert(c.node_of(r));
-  return static_cast<int>(nodes.size());
-}
-
 coll_model::CollTimes model_time(const Cluster& c, const Comm& comm,
                                  std::uint64_t chunk_bytes,
                                  AllgatherAlgo algo) {
-  const int np = comm.size();
-  const int nnodes = nodes_spanned(c, comm);
-  const int per_node = np / std::max(1, nnodes);
+  const int nnodes = comm.nodes();
+  const int per_node = comm.per_node();
   coll_model::CollTimes t;
   switch (algo) {
     case AllgatherAlgo::flat_ring:
@@ -178,30 +169,43 @@ coll_model::CollTimes allgather(Proc& p, Comm& comm,
 void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
                std::span<const ReduceOp> ops, sim::Phase phase) {
   assert(words.size() == ops.size());
+  if (words.size() > Comm::kMaxReduceWords)
+    throw std::invalid_argument(
+        "allreduce: " + std::to_string(words.size()) +
+        " words do not fit one message of " +
+        std::to_string(Comm::kMaxReduceWords));
   const faults::FaultInjector* inj = p.cluster->injector();
   const int idx = comm.index_of(p.rank);
   assert(idx >= 0);
   comm.publish_ptr(idx, words.data());
   p.barrier(comm, phase);
-  std::vector<std::uint64_t> acc(words.begin(), words.end());
-  for (int i = 0; i < comm.size(); ++i) {
-    // Dead members' slots hold stale values from before the crash.
-    if (i == idx || (inj != nullptr && inj->dead(comm.world_rank(i))))
-      continue;
-    const auto* v = static_cast<const std::uint64_t*>(comm.ptr(i));
-    for (std::size_t w = 0; w < acc.size(); ++w) {
-      switch (ops[w]) {
-        case ReduceOp::sum: acc[w] += v[w]; break;
-        case ReduceOp::max: acc[w] = std::max(acc[w], v[w]); break;
-        case ReduceOp::min: acc[w] = std::min(acc[w], v[w]); break;
-        case ReduceOp::bit_or: acc[w] |= v[w]; break;
+  // The lowest live member combines every live contribution once; dead
+  // members' slots hold stale values from before the crash.
+  const auto live = [&](int i) {
+    return inj == nullptr || !inj->dead(comm.world_rank(i));
+  };
+  int combiner = 0;
+  while (!live(combiner)) ++combiner;
+  auto& acc = comm.reduced();
+  if (idx == combiner) {
+    std::copy(words.begin(), words.end(), acc.begin());
+    for (int i = idx + 1; i < comm.size(); ++i) {
+      if (!live(i)) continue;
+      const auto* v = static_cast<const std::uint64_t*>(comm.ptr(i));
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        switch (ops[w]) {
+          case ReduceOp::sum: acc[w] += v[w]; break;
+          case ReduceOp::max: acc[w] = std::max(acc[w], v[w]); break;
+          case ReduceOp::min: acc[w] = std::min(acc[w], v[w]); break;
+          case ReduceOp::bit_or: acc[w] |= v[w]; break;
+        }
       }
     }
   }
-  p.charge(phase, coll_model::allreduce_scalar_ns(*p.cluster, comm.size()));
+  p.charge(phase, coll_model::allreduce_ns(*p.cluster, comm));
   ++p.prof.counters().reductions;
-  p.barrier(comm, phase);  // every member has read every contribution
-  std::copy(acc.begin(), acc.end(), words.begin());
+  p.barrier(comm, phase);  // the combined result is complete
+  std::copy_n(acc.begin(), words.size(), words.begin());
 }
 
 }  // namespace numabfs::rt

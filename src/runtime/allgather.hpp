@@ -40,13 +40,16 @@ coll_model::CollTimes allgather(Proc& p, Comm& comm,
 /// Per-word operation of a vector allreduce.
 enum class ReduceOp { sum, max, min, bit_or };
 
-/// Allreduce of a handful of words over `comm`: word i combines every live
-/// member's word i with `ops[i]`. `words` holds this rank's contribution on
-/// entry and the reduced values on exit; every member passes the same ops.
-/// Dead members' slots hold stale values from before the crash and are
-/// skipped. The words ride one eager message, so the call is charged one
-/// latency-bound tree (coll_model::allreduce_scalar_ns) whatever their
-/// count, and counts one reduction on the calling rank.
+/// Allreduce of at most Comm::kMaxReduceWords words over `comm` (more
+/// throw std::invalid_argument): word i combines every live member's word
+/// i with `ops[i]`. `words` holds this rank's contribution on entry and the
+/// reduced values on exit; every member passes the same ops. The comm's
+/// lowest live member combines every live contribution once into the
+/// comm's result, which every member copies after the closing barrier;
+/// dead members' slots hold stale values from before the crash and are
+/// skipped. The words ride one eager message, so the call is charged
+/// coll_model::allreduce_ns of the comm whatever their count, and counts
+/// one reduction on the calling rank.
 void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
                std::span<const ReduceOp> ops, sim::Phase phase);
 

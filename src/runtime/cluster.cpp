@@ -41,20 +41,20 @@ Cluster::Cluster(sim::Topology topo, sim::CostParams params, int ppn)
 
   std::vector<int> all(static_cast<size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) all[static_cast<size_t>(r)] = r;
-  world_ = std::make_unique<Comm>(all);
+  world_ = std::make_unique<Comm>(all, ppn);
 
   node_comms_.reserve(static_cast<size_t>(topo_.nodes()));
   for (int n = 0; n < topo_.nodes(); ++n) {
     std::vector<int> m;
     m.reserve(static_cast<size_t>(ppn));
     for (int l = 0; l < ppn; ++l) m.push_back(n * ppn + l);
-    node_comms_.push_back(std::make_unique<Comm>(std::move(m)));
+    node_comms_.push_back(std::make_unique<Comm>(std::move(m), ppn));
   }
 
   std::vector<int> lead;
   lead.reserve(static_cast<size_t>(topo_.nodes()));
   for (int n = 0; n < topo_.nodes(); ++n) lead.push_back(n * ppn);
-  leaders_ = std::make_unique<Comm>(std::move(lead));
+  leaders_ = std::make_unique<Comm>(std::move(lead));  // one per node
 
   subgroups_.reserve(static_cast<size_t>(ppn));
   for (int l = 0; l < ppn; ++l) {

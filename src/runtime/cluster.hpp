@@ -137,6 +137,7 @@ class Cluster {
   void retire_rank(const Proc& p);
 
   Comm& world() { return *world_; }
+  const Comm& world() const { return *world_; }
   Comm& node_comm(int node) { return *node_comms_[static_cast<size_t>(node)]; }
   /// One member per node: the ranks with local index 0.
   Comm& leaders() { return *leaders_; }

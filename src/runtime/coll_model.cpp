@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 namespace numabfs::rt::coll_model {
 
 double min_nic_factor(const Cluster& c) {
-  double f = 1.0;
-  for (int n = 0; n < c.topo().nodes(); ++n)
-    f = std::min(f, c.topo().nic_factor(n));
-  return f;
+  // A topology degrades at most one node's NIC.
+  const int weak = c.topo().weak_node();
+  return weak >= 0 && weak < c.topo().nodes()
+             ? std::min(1.0, c.topo().nic_factor(weak))
+             : 1.0;
 }
 
 CollTimes flat_ring(const Cluster& c, std::uint64_t chunk_bytes) {
@@ -133,11 +133,20 @@ CollTimes leader_allgather_overlapped(const Cluster& c,
   return t;
 }
 
-double allreduce_scalar_ns(const Cluster& c, int group_size) {
-  if (group_size <= 1) return 0.0;
-  const double rounds = std::ceil(std::log2(static_cast<double>(group_size)));
-  // reduce + broadcast trees of latency-bound messages
-  return 2.0 * rounds * c.params().nic_msg_latency_ns;
+int rd_rounds(int n) {
+  if (n <= 1) return 0;
+  const auto u = static_cast<unsigned>(n);
+  const int lg = std::bit_width(u) - 1;
+  return std::has_single_bit(u) ? lg : lg + 2;
+}
+
+double allreduce_ns(const Cluster& c, const Comm& comm) {
+  const auto& cp = c.params();
+  const double flat = rd_rounds(comm.size()) * cp.nic_msg_latency_ns;
+  const double node_aware =
+      (comm.per_node() > 1 ? 2.0 * cp.remote_cache_ns : 0.0) +
+      rd_rounds(comm.nodes()) * cp.nic_msg_latency_ns;
+  return std::min(flat, node_aware);
 }
 
 double pipelined2_ns(double a_ns, double b_ns, int chunks) {

@@ -78,8 +78,23 @@ CollTimes leader_allgather(const Cluster& c, std::uint64_t chunk_bytes,
 CollTimes leader_allgather_overlapped(const Cluster& c,
                                       std::uint64_t chunk_bytes);
 
-/// Latency of an allreduce of one scalar over `group_size` ranks.
-double allreduce_scalar_ns(const Cluster& c, int group_size);
+/// Rounds of a recursive-doubling exchange over `n` members: 0 for n <= 1,
+/// log2(n) for a power of two, floor(log2(n)) + 2 otherwise (the extra
+/// members fold in before the rounds and out after them, as in MPICH).
+int rd_rounds(int n);
+
+/// Latency of an allreduce of at most Comm::kMaxReduceWords words over
+/// `comm`; the words fit one cache line and one eager message, so the
+/// charge has no byte term. It is the cheaper of two recursive-doubling
+/// allreduces, read off the comm's shape:
+///  - flat: every member takes part, one NIC latency per round;
+///  - node-aware (the paper's sharing, applied to the reduction): the
+///    members of a node combine through one node-shared cache line and
+///    read the result back from it (two QPI line transfers), and one
+///    leader per node runs the rounds.
+/// At physical alpha the node-aware one wins; under paper cache scaling
+/// alpha drops below one line transfer and the flat one wins.
+double allreduce_ns(const Cluster& c, const Comm& comm);
 
 /// Duration of two dependent stages (e.g. wire transfer then decode, each
 /// taking `a_ns`/`b_ns` in full) pipelined over `chunks` equal pieces:

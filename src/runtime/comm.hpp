@@ -8,8 +8,11 @@
 /// virtual clocks to the group maximum — the difference is the
 /// load-imbalance "stall" the paper breaks out in Fig. 11. Comms also carry
 /// small publish/read slot arrays used by collectives to exchange pointers
-/// and scalar values.
+/// and scalar values, the result of the current allreduce, and their shape
+/// (nodes spanned, members per node) for the cost model.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -110,9 +113,19 @@ class VBarrier final : public Batched {
 /// Ordered group of world ranks with a barrier and exchange slots.
 class Comm {
  public:
-  explicit Comm(std::vector<int> world_ranks);
+  /// Most words one allreduce carries: one cache line, one eager message.
+  static constexpr std::size_t kMaxReduceWords = 8;
+
+  /// `per_node` is the shape the cost model reads: the members on each
+  /// node the comm spans (Cluster's comms are regular; a comm built
+  /// without it counts every member as its own node). It must divide the
+  /// member count.
+  explicit Comm(std::vector<int> world_ranks, int per_node = 1);
 
   int size() const { return static_cast<int>(members_.size()); }
+  /// Distinct nodes the comm spans, and its members on each of them.
+  int nodes() const { return size() / per_node_; }
+  int per_node() const { return per_node_; }
   int world_rank(int idx) const { return members_[static_cast<size_t>(idx)]; }
   const std::vector<int>& members() const { return members_; }
   /// Index of `world_rank` in this comm, or -1 if not a member. O(1).
@@ -146,14 +159,19 @@ class Comm {
     chk_slots_[static_cast<size_t>(idx)] = v;
   }
   std::uint64_t chk(int idx) const { return chk_slots_[static_cast<size_t>(idx)]; }
+  /// Result of the current allreduce: one member writes it between the
+  /// reduction's two barriers, every member reads it after the second.
+  std::array<std::uint64_t, kMaxReduceWords>& reduced() { return reduced_; }
 
  private:
   std::vector<int> members_;
+  int per_node_;
   std::vector<int> index_;  ///< world rank -> member index, or -1
   std::unique_ptr<VBarrier> barrier_;
   std::vector<const void*> ptr_slots_;
   std::vector<std::uint64_t> val_slots_;
   std::vector<std::uint64_t> chk_slots_;
+  std::array<std::uint64_t, kMaxReduceWords> reduced_{};
 };
 
 }  // namespace numabfs::rt

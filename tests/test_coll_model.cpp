@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/allgather.hpp"
@@ -124,18 +126,22 @@ TEST(CollModel, SingleNodeHasNoInterTime) {
 }
 
 TEST(CollModel, AllreduceScalesLogarithmically) {
+  // One member per node: recursive doubling pays one NIC latency a round.
   Cluster c(make(16, 8));
-  const double t2 = allreduce_scalar_ns(c, 2);
-  const double t128 = allreduce_scalar_ns(c, 128);
+  std::vector<int> all(128);
+  std::iota(all.begin(), all.end(), 0);
+  const double t2 = allreduce_ns(c, Comm({0, 8}));
+  const double t128 = allreduce_ns(c, Comm(all));
   EXPECT_NEAR(t128 / t2, 7.0, 1e-9);
-  EXPECT_DOUBLE_EQ(allreduce_scalar_ns(c, 1), 0.0);
+  EXPECT_DOUBLE_EQ(allreduce_ns(c, Comm({0})), 0.0);
 }
 
 TEST(CollModel, VectorAllreduceChargesOneScalarTree) {
-  // The words of rt::allreduce ride one eager message: 1 to 7 words cost
-  // exactly one latency tree of the comm, and count one reduction.
+  // The words of rt::allreduce ride one eager message: 1 to 8 words cost
+  // exactly one charge of the comm, and count one reduction; 9 words are
+  // rejected before any barrier.
   Cluster c(make(16, 8));
-  for (std::size_t k = 1; k <= 7; ++k) {
+  for (std::size_t k = 1; k <= 8; ++k) {
     c.run([&](Proc& p) {
       Comm& node = c.node_comm(p.node);
       std::vector<std::uint64_t> w(k, 1);
@@ -146,12 +152,73 @@ TEST(CollModel, VectorAllreduceChargesOneScalarTree) {
       EXPECT_EQ(w[0], 8u * 128u);
     });
     for (const auto& pr : c.profiles()) {
-      EXPECT_DOUBLE_EQ(pr.get(sim::Phase::stall), allreduce_scalar_ns(c, 128))
+      EXPECT_DOUBLE_EQ(pr.get(sim::Phase::stall), allreduce_ns(c, c.world()))
           << k << " words";
-      EXPECT_DOUBLE_EQ(pr.get(sim::Phase::other), allreduce_scalar_ns(c, 8))
+      EXPECT_DOUBLE_EQ(pr.get(sim::Phase::other),
+                       allreduce_ns(c, c.node_comm(0)))
           << k << " words";
       EXPECT_EQ(pr.counters().reductions, 2u);
     }
+  }
+  c.run([&](Proc& p) {
+    std::vector<std::uint64_t> w(9, 1);
+    const std::vector<ReduceOp> ops(9, ReduceOp::sum);
+    EXPECT_THROW(allreduce(p, c.world(), w, ops, sim::Phase::stall),
+                 std::invalid_argument);
+  });
+  for (const auto& pr : c.profiles())
+    EXPECT_EQ(pr.counters().reductions, 0u);
+}
+
+TEST(CollModel, RecursiveDoublingRounds) {
+  EXPECT_EQ(rd_rounds(1), 0);
+  EXPECT_EQ(rd_rounds(2), 1);
+  EXPECT_EQ(rd_rounds(256), 8);
+  EXPECT_EQ(rd_rounds(1024), 10);
+  // Other sizes fold their extra members in and out: two more rounds.
+  EXPECT_EQ(rd_rounds(6), 4);
+  EXPECT_EQ(rd_rounds(144), 9);
+}
+
+TEST(CollModel, AllreduceIsNodeAwareAtPhysicalAlpha) {
+  // The members of a node combine through one shared cache line and read
+  // the result back (two QPI line transfers); one leader per node runs the
+  // rounds. At a physical alpha that beats recursive doubling over all.
+  const sim::CostParams cp;
+  const double alpha = cp.nic_msg_latency_ns;
+  Cluster c(make(256, 4));
+  EXPECT_DOUBLE_EQ(allreduce_ns(c, c.world()),
+                   2 * cp.remote_cache_ns + 8 * alpha);
+  EXPECT_LT(allreduce_ns(c, c.world()), rd_rounds(1024) * alpha);
+  EXPECT_DOUBLE_EQ(allreduce_ns(c, c.node_comm(3)), 2 * cp.remote_cache_ns);
+  Cluster c144(make(144, 4));
+  EXPECT_DOUBLE_EQ(allreduce_ns(c144, c144.world()),
+                   2 * cp.remote_cache_ns + 9 * alpha);
+  Cluster c2(make(2, 4));
+  EXPECT_DOUBLE_EQ(allreduce_ns(c2, c2.world()),
+                   2 * cp.remote_cache_ns + alpha);
+}
+
+TEST(CollModel, AllreduceIsFlatUnderPaperScaling) {
+  // Paper scaling shrinks alpha below one line transfer, so recursive
+  // doubling over every member is the cheaper reduction.
+  const sim::CostParams cp =
+      sim::CostParams{}.with_paper_cache_scaling(1ull << 18);
+  const double alpha = cp.nic_msg_latency_ns;
+  ASSERT_LT(alpha, cp.remote_cache_ns);
+  Cluster c(make(16, 8, cp));
+  EXPECT_DOUBLE_EQ(allreduce_ns(c, c.world()), 7 * alpha);
+  EXPECT_DOUBLE_EQ(allreduce_ns(c, c.node_comm(0)), 3 * alpha);
+}
+
+TEST(CollModel, OnePerNodeAllreducePaysNoIntraNodeTerm) {
+  for (const sim::CostParams& cp :
+       {sim::CostParams{},
+        sim::CostParams{}.with_paper_cache_scaling(1ull << 18)}) {
+    Cluster c(make(144, 4, cp));
+    const double want = rd_rounds(144) * cp.nic_msg_latency_ns;
+    EXPECT_DOUBLE_EQ(allreduce_ns(c, c.leaders()), want);
+    EXPECT_DOUBLE_EQ(allreduce_ns(c, c.subgroup(2)), want);
   }
 }
 

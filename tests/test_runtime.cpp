@@ -76,6 +76,19 @@ TEST(Comm, IndexOfIsATableLookup) {
   EXPECT_EQ(c.index_of(-1), -1);
 }
 
+TEST(Comm, ClusterCommsRecordTheirShape) {
+  Cluster c(topo(4), sim::CostParams{}, 2);
+  EXPECT_EQ(c.world().nodes(), 4);
+  EXPECT_EQ(c.world().per_node(), 2);
+  EXPECT_EQ(c.node_comm(1).nodes(), 1);
+  EXPECT_EQ(c.node_comm(1).per_node(), 2);
+  for (Comm* one_per_node : {&c.leaders(), &c.subgroup(1)}) {
+    EXPECT_EQ(one_per_node->nodes(), 4);
+    EXPECT_EQ(one_per_node->per_node(), 1);
+  }
+  EXPECT_THROW(Comm({0, 1, 2}, 2), std::invalid_argument);
+}
+
 TEST(Barrier, AlignsClocksToMax) {
   Cluster c(topo(2), sim::CostParams{}, 8);
   std::vector<double> end_times(16);
@@ -160,32 +173,36 @@ TEST(Allreduce, EachWordTakesItsOwnOp) {
 
 TEST(Allreduce, SkipsACrashedMembersStaleSlot) {
   // The crashed rank joined one reduction, so its slot still points at
-  // words it published then. The survivors' next reduction must skip it.
-  Cluster c(topo(2), sim::CostParams{}, 4);
-  auto inj = std::make_shared<faults::FaultInjector>(faults::FaultPlan{},
-                                                     c.nranks(), c.ppn());
-  c.set_fault_injector(inj);
-  constexpr int dead = 5;
+  // words it published then. The survivors' next reduction must skip it,
+  // also when it was member 0 and member 1 combines.
   const std::array ops{ReduceOp::sum, ReduceOp::max, ReduceOp::min,
                        ReduceOp::bit_or};
-  c.run([&](Proc& p) {
-    const auto r = static_cast<std::uint64_t>(p.rank);
-    const bool big = p.rank == dead;
-    std::array<std::uint64_t, 4> w{1, big ? 1000 : r, big ? 0u : 10u,
-                                   big ? 1ull << 40 : 1ull << r};
-    allreduce(p, c.world(), w, ops, sim::Phase::other);
-    EXPECT_EQ(w, (std::array<std::uint64_t, 4>{8, 1000, 0,
-                                               0xdfull | 1ull << 40}));
-    if (p.rank == dead) {
-      inj->mark_dead(p.rank);
-      c.retire_rank(p);
-      return;
-    }
-    std::array<std::uint64_t, 4> w2{1, r, 10, 1ull << r};
-    allreduce(p, c.world(), w2, ops, sim::Phase::other);
-    EXPECT_EQ(w2, (std::array<std::uint64_t, 4>{7, 7, 10, 0xdfull}));
-  });
-  c.set_fault_injector(nullptr);
+  for (const int dead : {5, 0}) {
+    Cluster c(topo(2), sim::CostParams{}, 4);
+    auto inj = std::make_shared<faults::FaultInjector>(faults::FaultPlan{},
+                                                       c.nranks(), c.ppn());
+    c.set_fault_injector(inj);
+    const std::uint64_t others = 0xffull & ~(1ull << dead);
+    c.run([&](Proc& p) {
+      const auto r = static_cast<std::uint64_t>(p.rank);
+      const bool big = p.rank == dead;
+      std::array<std::uint64_t, 4> w{1, big ? 1000 : r, big ? 0u : 10u,
+                                     big ? 1ull << 40 : 1ull << r};
+      allreduce(p, c.world(), w, ops, sim::Phase::other);
+      EXPECT_EQ(w, (std::array<std::uint64_t, 4>{8, 1000, 0,
+                                                 others | 1ull << 40}));
+      if (p.rank == dead) {
+        inj->mark_dead(p.rank);
+        c.retire_rank(p);
+        return;
+      }
+      std::array<std::uint64_t, 4> w2{1, r, 10, 1ull << r};
+      allreduce(p, c.world(), w2, ops, sim::Phase::other);
+      EXPECT_EQ(w2, (std::array<std::uint64_t, 4>{7, 7, 10, others}))
+          << "dead rank " << dead;
+    });
+    c.set_fault_injector(nullptr);
+  }
 }
 
 class AllgatherAlgos : public ::testing::TestWithParam<AllgatherAlgo> {};
