@@ -7,6 +7,7 @@
 #include <string>
 
 #include "obs/trace.hpp"
+#include "runtime/allgather.hpp"
 
 namespace numabfs::bfs {
 
@@ -131,11 +132,7 @@ cm::CollTimes plan_time(const rt::Cluster& c, const ExchangePlan& plan,
                         std::uint64_t chunk_bytes) {
   switch (plan.kind) {
     case PlanKind::library:
-      if (plan.base_algo == rt::AllgatherAlgo::flat_ring)
-        return cm::flat_ring(c, chunk_bytes);
-      return cm::leader_allgather(
-          c, chunk_bytes, true, true, 1,
-          plan.base_algo == rt::AllgatherAlgo::leader_rd);
+      return rt::allgather_time(c, c.world(), chunk_bytes, plan.base_algo);
     // Shared replicas drop the broadcast step (Fig. 5b), shared out slabs
     // the gather step too; the parallel plan rings ppn flows per node.
     case PlanKind::leader_gather:

@@ -64,11 +64,10 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
   const int K = std::max(1, opt_.exchange_chunks);
   const bool degraded = inj != nullptr && inj->any_dead();
   const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
-  const bool rd_inter = R >= 8;
   const double t0 = p.clock.now_ns();
   // The column allgather: R members, one per node, ppn columns per node.
   const auto col_allgather = [&](std::uint64_t b) {
-    return cm::hier_subgroup_allgather(c, R, 1, ppn, b, hier, rd_inter);
+    return cm::hier_subgroup_allgather(c, R, 1, ppn, b, hier);
   };
 
   // One gate decision covers the transpose and the expand: the same wire
@@ -347,8 +346,10 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   }
   const bool degraded = inj != nullptr && inj->any_dead();
   const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
-  double t = cm::hier_alltoallv_ns(c, std::max(1, C / ppn), std::min(ppn, C),
-                                   node_intra, node_inter, hier);
+  const cm::AlltoallvTimes a2a =
+      cm::hier_alltoallv_ns(c, std::max(1, C / ppn), std::min(ppn, C),
+                            node_intra, node_inter, hier);
+  double t = a2a.total_ns;
   if (inj != nullptr) t /= inj->min_link_factor(p.clock.now_ns());
   // The owner decodes claim lists while later chunks are in flight
   // (K-chunk wire/decode pipelining, as on the bitmap legs).
@@ -371,6 +372,7 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
   p.barrier(world, sim::Phase::stall);
   p.trace_span(obs::kCatBfs, "2d.fold", t0, p.clock.now_ns(),
                obs::kv("coded", coded ? 1 : 0) + "," +
+                   obs::kv("sched", cm::to_string(a2a.sched)) + "," +
                    obs::kv("wire_bytes", fs.wire_bytes) + "," +
                    obs::kv("discovered", fs.discovered));
   return fs;
@@ -393,12 +395,10 @@ bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
   const int K = std::max(1, opt_.exchange_chunks);
   const bool degraded = inj != nullptr && inj->any_dead();
   const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
-  const bool rd_inter = C / std::max(1, ppn) >= 8;
   // The row allgather: C members over C/ppn nodes, ppn of them per node.
   const auto row_allgather = [&](std::uint64_t b) {
     return cm::hier_subgroup_allgather(c, std::max(1, C / ppn),
-                                       std::min(ppn, C), 1, b, hier,
-                                       rd_inter);
+                                       std::min(ppn, C), 1, b, hier);
   };
 
   // Advance: the accepted claims become the next frontier.

@@ -259,8 +259,9 @@ IngestStats SnapshotManager::ingest(std::span<const EdgeOp> ops,
   }
   if (s.records > 0)
     s.route_ns = rt::coll_model::hier_alltoallv_ns(
-        cluster_, nnodes, ppn, max_intra, max_inter,
-        rt::coll_model::HierLevel::node);
+                     cluster_, nnodes, ppn, max_intra, max_inter,
+                     rt::coll_model::HierLevel::node)
+                     .total_ns;
 
   for (int r = 0; r < np; ++r) {
     auto& batch = batches[static_cast<std::size_t>(r)];

@@ -20,11 +20,9 @@ const char* to_string(AllgatherAlgo a) {
   return "?";
 }
 
-namespace {
-
-coll_model::CollTimes model_time(const Cluster& c, const Comm& comm,
-                                 std::uint64_t chunk_bytes,
-                                 AllgatherAlgo algo) {
+coll_model::CollTimes allgather_time(const Cluster& c, const Comm& comm,
+                                     std::uint64_t chunk_bytes,
+                                     AllgatherAlgo algo) {
   const int nnodes = comm.nodes();
   const int per_node = comm.per_node();
   coll_model::CollTimes t;
@@ -50,6 +48,8 @@ coll_model::CollTimes model_time(const Cluster& c, const Comm& comm,
   }
   return t;
 }
+
+namespace {
 
 /// Attempt budget for one chunk of a fault-tolerant allgather (mirrors
 /// PostOffice::kMaxAttempts).
@@ -148,7 +148,7 @@ coll_model::CollTimes allgather(Proc& p, Comm& comm,
   }
 
   coll_model::CollTimes t =
-      model_time(c, comm, words * sizeof(std::uint64_t), algo);
+      allgather_time(c, comm, words * sizeof(std::uint64_t), algo);
   if (inj != nullptr) {
     // A degraded fabric stretches the inter-node stage; retransmissions of
     // individual chunks are tacked onto the total.

@@ -27,6 +27,13 @@ enum class AllgatherAlgo {
 
 const char* to_string(AllgatherAlgo a);
 
+/// The modeled breakdown `allgather` charges for chunks of `chunk_bytes`
+/// over `comm` under `algo` (the 1-D library exchange plan charges it over
+/// the world).
+coll_model::CollTimes allgather_time(const Cluster& c, const Comm& comm,
+                                     std::uint64_t chunk_bytes,
+                                     AllgatherAlgo algo);
+
 /// Allgather of equal-sized chunks into each member's private `dst`
 /// (member order, chunk i at offset i*chunk.size()). Every member must pass
 /// chunks of the same size. Returns the modeled per-call breakdown; the

@@ -102,7 +102,7 @@ double inter_recursive_doubling_ns(const Cluster& c, std::uint64_t chunk_bytes,
 
 CollTimes leader_allgather(const Cluster& c, std::uint64_t chunk_bytes,
                            bool with_gather, bool with_bcast,
-                           int flows_per_node, bool rd_inter) {
+                           int flows_per_node) {
   CollTimes t;
   const int ppn = c.ppn();
   const std::uint64_t node_chunk =
@@ -116,9 +116,7 @@ CollTimes leader_allgather(const Cluster& c, std::uint64_t chunk_bytes,
   // carries it whole (single leader), ppn flows carry one rank chunk each.
   const std::uint64_t wire_chunk =
       node_chunk / static_cast<std::uint64_t>(std::max(1, flows_per_node));
-  t.inter_ns = rd_inter
-                   ? inter_recursive_doubling_ns(c, wire_chunk, flows_per_node)
-                   : inter_ring_ns(c, wire_chunk, flows_per_node);
+  t.inter_ns = inter_ring_ns(c, wire_chunk, flows_per_node);
 
   if (with_bcast && ppn > 1) t.bcast_ns = bcast_from_leader_ns(c, total);
 
@@ -140,12 +138,19 @@ int rd_rounds(int n) {
   return std::has_single_bit(u) ? lg : lg + 2;
 }
 
+int kport_rounds(int n, int k) {
+  int rounds = 0;
+  for (std::int64_t reached = 1; reached < n; reached *= k + 1) ++rounds;
+  return rounds;
+}
+
 double allreduce_ns(const Cluster& c, const Comm& comm) {
   const auto& cp = c.params();
   const double flat = rd_rounds(comm.size()) * cp.nic_msg_latency_ns;
   const double node_aware =
       (comm.per_node() > 1 ? 2.0 * cp.remote_cache_ns : 0.0) +
-      rd_rounds(comm.nodes()) * cp.nic_msg_latency_ns;
+      kport_rounds(comm.nodes(), c.topo().nic_ports_per_node()) *
+          cp.nic_msg_latency_ns;
   return std::min(flat, node_aware);
 }
 
@@ -170,6 +175,14 @@ const char* to_string(HierLevel h) {
   return "?";
 }
 
+const char* to_string(A2aSchedule s) {
+  switch (s) {
+    case A2aSchedule::direct: return "direct";
+    case A2aSchedule::bruck: return "bruck";
+  }
+  return "?";
+}
+
 namespace {
 
 /// Message latencies one node pays to inject `msgs` concurrent messages:
@@ -189,12 +202,69 @@ double stage_ns(const Cluster& c, std::uint64_t bytes, HierLevel level) {
   return factor * static_cast<double>(bytes) / c.params().shm_copy_bw;
 }
 
+/// One round of a k-port schedule: one alpha, then the largest of its
+/// `msgs` concurrent per-port messages at their per-flow rate.
+double kport_round_ns(const Cluster& c, int msgs, double largest_bytes,
+                      double factor) {
+  return c.params().nic_msg_latency_ns +
+         largest_bytes / c.link().nic_flow_bw(msgs, factor);
+}
+
+/// k-port Bruck concatenation among `n` node leaders, each starting with
+/// one `block` of bytes. A leader holding h blocks forwards them to up to
+/// k peers, one message a port, so it then holds (k + 1) * h; the last
+/// round's remainder splits evenly over the ports (the partner offsets
+/// are free, so such a split always exists).
+double bruck_allgather_ns(const Cluster& c, int n, std::uint64_t block,
+                          double factor) {
+  const int k = c.topo().nic_ports_per_node();
+  double t = 0.0;
+  for (int have = 1; have < n;) {
+    const int need = std::min(n - have, k * have);
+    const int msgs = std::min(k, need);
+    const int largest = (need + msgs - 1) / msgs;
+    t += kport_round_ns(c, msgs,
+                        static_cast<double>(largest) *
+                            static_cast<double>(block),
+                        factor);
+    have += need;
+  }
+  return t;
+}
+
+/// k-port Bruck index exchange among `n` node leaders, every leader owing
+/// each peer a block of `peer_bytes`. Round i sends, over port j, every
+/// block whose destination offset x in [1, n) has base-(k+1) digit i
+/// equal to j; the round waits for its largest port.
+double bruck_index_ns(const Cluster& c, int n, double peer_bytes,
+                      double factor) {
+  const int k = c.topo().nic_ports_per_node();
+  const std::int64_t radix = k + 1;
+  double t = 0.0;
+  for (std::int64_t p = 1; p < n; p *= radix) {
+    // Offsets below n with digit j at place p: p per full cycle of
+    // radix * p, plus the part of the last cycle past j * p.
+    const std::int64_t cycle = p * radix;
+    std::int64_t largest = 0;
+    int msgs = 0;
+    for (int j = 1; j <= k; ++j) {
+      const std::int64_t blocks =
+          n / cycle * p + std::clamp<std::int64_t>(n % cycle - j * p, 0, p);
+      if (blocks == 0) continue;
+      ++msgs;
+      largest = std::max(largest, blocks);
+    }
+    t += kport_round_ns(c, msgs, static_cast<double>(largest) * peer_bytes,
+                        factor);
+  }
+  return t;
+}
+
 }  // namespace
 
 CollTimes hier_subgroup_allgather(const Cluster& c, int span_nodes,
                                   int per_node, int concurrency,
-                                  std::uint64_t chunk_bytes, HierLevel level,
-                                  bool rd_inter) {
+                                  std::uint64_t chunk_bytes, HierLevel level) {
   CollTimes t;
   const int members = span_nodes * per_node;
   if (members <= 1) return t;
@@ -228,28 +298,15 @@ CollTimes hier_subgroup_allgather(const Cluster& c, int span_nodes,
 
   // Node-aware: all co-located participants (per_node members of this
   // subgroup x concurrency siblings) stage their chunks at the node leader,
-  // leaders exchange combined node chunks, the assembled payload fans back
-  // out once.
+  // leaders concatenate the combined node chunks, the assembled payload
+  // fans back out once.
   const int staged = per_node * concurrency;
   const std::uint64_t node_chunk =
       chunk_bytes * static_cast<std::uint64_t>(staged);
   if (staged > 1)
     t.gather_ns = stage_ns(
         c, chunk_bytes * static_cast<std::uint64_t>(staged - 1), level);
-  if (span_nodes > 1) {
-    const double bw = c.link().nic_flow_bw(1, factor);
-    if (rd_inter && std::has_single_bit(static_cast<unsigned>(span_nodes))) {
-      std::uint64_t sz = node_chunk;
-      for (int r = 0; r < std::countr_zero(static_cast<unsigned>(span_nodes));
-           ++r) {
-        t.inter_ns += cp.nic_msg_latency_ns + static_cast<double>(sz) / bw;
-        sz *= 2;
-      }
-    } else {
-      t.inter_ns = (span_nodes - 1) * (cp.nic_msg_latency_ns +
-                                       static_cast<double>(node_chunk) / bw);
-    }
-  }
+  t.inter_ns = bruck_allgather_ns(c, span_nodes, node_chunk, factor);
   if (staged > 1)
     t.bcast_ns = stage_ns(
         c, node_chunk * static_cast<std::uint64_t>(span_nodes), level);
@@ -257,9 +314,10 @@ CollTimes hier_subgroup_allgather(const Cluster& c, int span_nodes,
   return t;
 }
 
-double hier_alltoallv_ns(const Cluster& c, int span_nodes, int per_node,
-                         std::uint64_t node_intra_bytes,
-                         std::uint64_t node_inter_bytes, HierLevel level) {
+AlltoallvTimes hier_alltoallv_ns(const Cluster& c, int span_nodes,
+                                 int per_node, std::uint64_t node_intra_bytes,
+                                 std::uint64_t node_inter_bytes,
+                                 HierLevel level) {
   const double factor = min_nic_factor(c);
   // Intra-node peer traffic: bounced (CICO) unless the exchange buffers are
   // directly mapped (socket level — the paper's sharing idea applied to the
@@ -268,23 +326,32 @@ double hier_alltoallv_ns(const Cluster& c, int span_nodes, int per_node,
       level == HierLevel::socket ? 1.0 : c.params().cico_factor;
   const double t_intra = intra_factor * static_cast<double>(node_intra_bytes) /
                          c.params().shm_copy_bw;
-  if (span_nodes <= 1 || node_inter_bytes == 0) return t_intra;
+  AlltoallvTimes a;
+  a.total_ns = t_intra;
+  if (span_nodes <= 1 || node_inter_bytes == 0) return a;
 
-  double t_inter;
+  const double bytes = static_cast<double>(node_inter_bytes);
   if (level == HierLevel::flat) {
     const int msgs = per_node * per_node * (span_nodes - 1);
-    t_inter = inject_lat_ns(c, msgs) +
-              static_cast<double>(node_inter_bytes) /
-                  c.link().nic_node_bw(per_node, factor);
-  } else {
-    // Leaders exchange one combined message per peer node; the inter-node
-    // payload is staged through the leader on the way out and the way in.
-    t_inter = 2.0 * stage_ns(c, node_inter_bytes, level) +
-              inject_lat_ns(c, span_nodes - 1) +
-              static_cast<double>(node_inter_bytes) /
-                  c.link().nic_node_bw(1, factor);
+    a.total_ns += inject_lat_ns(c, msgs) +
+                  bytes / c.link().nic_node_bw(per_node, factor);
+    return a;
   }
-  return t_intra + t_inter;
+  // Leaders exchange the node's inter-node payload, staged through the
+  // leader on the way out and the way in, by the cheaper schedule.
+  const double staging = 2.0 * stage_ns(c, node_inter_bytes, level);
+  const double direct = staging + inject_lat_ns(c, span_nodes - 1) +
+                        bytes / c.link().nic_node_bw(1, factor);
+  const double bruck =
+      staging + bruck_index_ns(c, span_nodes, bytes / (span_nodes - 1),
+                               factor);
+  if (bruck < direct) {
+    a.total_ns += bruck;
+    a.sched = A2aSchedule::bruck;
+  } else {
+    a.total_ns += direct;
+  }
+  return a;
 }
 
 }  // namespace numabfs::rt::coll_model

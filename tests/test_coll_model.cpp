@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "runtime/allgather.hpp"
@@ -126,13 +128,14 @@ TEST(CollModel, SingleNodeHasNoInterTime) {
 }
 
 TEST(CollModel, AllreduceScalesLogarithmically) {
-  // One member per node: recursive doubling pays one NIC latency a round.
+  // One member per node: the leaders' dissemination pays one NIC latency a
+  // round, ceil(log3 n) rounds on two ports.
   Cluster c(make(16, 8));
   std::vector<int> all(128);
   std::iota(all.begin(), all.end(), 0);
   const double t2 = allreduce_ns(c, Comm({0, 8}));
   const double t128 = allreduce_ns(c, Comm(all));
-  EXPECT_NEAR(t128 / t2, 7.0, 1e-9);
+  EXPECT_NEAR(t128 / t2, 5.0, 1e-9);
   EXPECT_DOUBLE_EQ(allreduce_ns(c, Comm({0})), 0.0);
 }
 
@@ -180,20 +183,36 @@ TEST(CollModel, RecursiveDoublingRounds) {
   EXPECT_EQ(rd_rounds(144), 9);
 }
 
+TEST(CollModel, KPortRounds) {
+  // ceil(log_{k+1} n): each round a member reaches k more peers per peer
+  // it already reached.
+  const std::vector<std::pair<int, int>> two_port = {
+      {1, 0}, {2, 1}, {3, 1}, {4, 2},   {9, 2},   {10, 3},
+      {24, 3}, {32, 4}, {144, 5}, {256, 6}};
+  for (const auto& [n, rounds] : two_port)
+    EXPECT_EQ(kport_rounds(n, 2), rounds) << n;
+  // One port: ceil(log2 n).
+  for (int n = 1; n <= 1024; ++n)
+    EXPECT_EQ(kport_rounds(n, 1),
+              std::bit_width(static_cast<unsigned>(n - 1)))
+        << n;
+}
+
 TEST(CollModel, AllreduceIsNodeAwareAtPhysicalAlpha) {
   // The members of a node combine through one shared cache line and read
-  // the result back (two QPI line transfers); one leader per node runs the
-  // rounds. At a physical alpha that beats recursive doubling over all.
+  // the result back (two QPI line transfers); one leader per node runs a
+  // dissemination over both NIC ports. At a physical alpha that beats
+  // recursive doubling over all.
   const sim::CostParams cp;
   const double alpha = cp.nic_msg_latency_ns;
   Cluster c(make(256, 4));
   EXPECT_DOUBLE_EQ(allreduce_ns(c, c.world()),
-                   2 * cp.remote_cache_ns + 8 * alpha);
+                   2 * cp.remote_cache_ns + 6 * alpha);
   EXPECT_LT(allreduce_ns(c, c.world()), rd_rounds(1024) * alpha);
   EXPECT_DOUBLE_EQ(allreduce_ns(c, c.node_comm(3)), 2 * cp.remote_cache_ns);
   Cluster c144(make(144, 4));
   EXPECT_DOUBLE_EQ(allreduce_ns(c144, c144.world()),
-                   2 * cp.remote_cache_ns + 9 * alpha);
+                   2 * cp.remote_cache_ns + 5 * alpha);
   Cluster c2(make(2, 4));
   EXPECT_DOUBLE_EQ(allreduce_ns(c2, c2.world()),
                    2 * cp.remote_cache_ns + alpha);
@@ -212,14 +231,47 @@ TEST(CollModel, AllreduceIsFlatUnderPaperScaling) {
 }
 
 TEST(CollModel, OnePerNodeAllreducePaysNoIntraNodeTerm) {
+  // A one-member-per-node comm runs the two-port dissemination at any
+  // alpha: it has no line transfer to pay and fewer rounds than the flat
+  // recursive doubling.
   for (const sim::CostParams& cp :
        {sim::CostParams{},
         sim::CostParams{}.with_paper_cache_scaling(1ull << 18)}) {
     Cluster c(make(144, 4, cp));
-    const double want = rd_rounds(144) * cp.nic_msg_latency_ns;
+    const double want = kport_rounds(144, 2) * cp.nic_msg_latency_ns;
     EXPECT_DOUBLE_EQ(allreduce_ns(c, c.leaders()), want);
     EXPECT_DOUBLE_EQ(allreduce_ns(c, c.subgroup(2)), want);
+    EXPECT_LT(want, rd_rounds(144) * cp.nic_msg_latency_ns);
   }
+}
+
+TEST(CollModel, OnePortTopologyKeepsBinaryRounds) {
+  // With one NIC port per node the k-port schedules fall back to binary
+  // ones: the world reduction runs ceil(log2 nodes) rounds, and the
+  // node-aware allgather over a power-of-two span is the recursive
+  // doubling of a leader per node.
+  const sim::CostParams cp;
+  const double alpha = cp.nic_msg_latency_ns;
+  for (const auto& [nodes, rounds] :
+       std::vector<std::pair<int, int>>{{2, 1}, {144, 8}, {256, 8}}) {
+    sim::Topology::Params tp;
+    tp.nodes = nodes;
+    tp.nic_ports_per_node = 1;
+    Cluster c(sim::Topology(tp), cp, 4);
+    EXPECT_DOUBLE_EQ(allreduce_ns(c, c.world()),
+                     2 * cp.remote_cache_ns + rounds * alpha)
+        << nodes;
+  }
+  sim::Topology::Params tp;
+  tp.nodes = 32;
+  tp.nic_ports_per_node = 1;
+  Cluster c(sim::Topology(tp), cp, 4);
+  const std::uint64_t block = 4 * 32;  // four 32-byte column pieces
+  double rd = 0.0;
+  for (std::uint64_t sz = block; sz < 32 * block; sz *= 2)
+    rd += alpha + static_cast<double>(sz) / c.link().nic_flow_bw(1);
+  EXPECT_DOUBLE_EQ(
+      hier_subgroup_allgather(c, 32, 1, 4, 32, HierLevel::node).inter_ns, rd);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,7 +284,7 @@ TEST(HierColl, DegenerateSubgroupIsFree) {
     // One member total: nothing to exchange.
     EXPECT_DOUBLE_EQ(
         hier_subgroup_allgather(c, 1, 1, 4, 1 << 16, h).total_ns, 0.0);
-    EXPECT_DOUBLE_EQ(hier_alltoallv_ns(c, 1, 1, 0, 0, h), 0.0);
+    EXPECT_DOUBLE_EQ(hier_alltoallv_ns(c, 1, 1, 0, 0, h).total_ns, 0.0);
   }
 }
 
@@ -276,18 +328,50 @@ TEST(HierColl, MonotoneInBytesAndSpan) {
   }
 }
 
-TEST(HierColl, RecursiveDoublingHelpsWideColumns) {
-  // rd replaces the (span-1)-step ring with log2(span) exchange rounds;
-  // for small messages over many nodes the latency saving dominates.
+TEST(HierColl, KPortBruckHelpsWideColumns) {
+  // The two-port Bruck concatenation replaces the (span-1)-step leader
+  // ring with ceil(log3 span) rounds, one fewer than recursive doubling's
+  // log2(span) at 16 nodes; for small messages the latency saving
+  // dominates.
   Cluster c(make(16, 8));
   const std::uint64_t small = 512;
-  const double ring =
-      hier_subgroup_allgather(c, 16, 1, 8, small, HierLevel::node, false)
-          .total_ns;
-  const double rd =
-      hier_subgroup_allgather(c, 16, 1, 8, small, HierLevel::node, true)
-          .total_ns;
+  const double alpha = c.params().nic_msg_latency_ns;
+  const double bw = c.link().nic_flow_bw(1);
+  const std::uint64_t block = 8 * small;
+  double ring = 0.0, rd = 0.0;
+  for (int s = 0; s < 15; ++s)
+    ring += alpha + static_cast<double>(block) / bw;
+  for (std::uint64_t sz = block; sz < 16 * block; sz *= 2)
+    rd += alpha + static_cast<double>(sz) / bw;
+  const double bruck =
+      hier_subgroup_allgather(c, 16, 1, 8, small, HierLevel::node).inter_ns;
   EXPECT_LT(rd, ring);
+  EXPECT_LT(bruck, rd);
+}
+
+TEST(HierColl, BruckAllgatherNeverCostsMoreThanTheRing) {
+  // Each Bruck round costs at most the ring steps that deliver the same
+  // blocks, at physical and at paper-scaled alpha, for every span.
+  for (const sim::CostParams& cp :
+       {sim::CostParams{},
+        sim::CostParams{}.with_paper_cache_scaling(1ull << 18)}) {
+    Cluster c(make(64, 4, cp));
+    const double bw = c.link().nic_flow_bw(1);
+    for (HierLevel h : {HierLevel::node, HierLevel::socket}) {
+      for (std::uint64_t chunk :
+           {std::uint64_t{8}, std::uint64_t{512}, std::uint64_t{1} << 20}) {
+        for (int span = 2; span <= 64; ++span) {
+          const CollTimes t = hier_subgroup_allgather(c, span, 1, 4, chunk, h);
+          const double ring =
+              (span - 1) * (cp.nic_msg_latency_ns +
+                            static_cast<double>(4 * chunk) / bw);
+          EXPECT_LE(t.inter_ns, ring) << span << " " << chunk;
+          EXPECT_LE(t.total_ns, t.gather_ns + ring + t.bcast_ns)
+              << span << " " << chunk;
+        }
+      }
+    }
+  }
 }
 
 TEST(HierColl, AlltoallvLeadersCutInjectionSerialization) {
@@ -297,13 +381,47 @@ TEST(HierColl, AlltoallvLeadersCutInjectionSerialization) {
   Cluster c(make(8, 8));
   const std::uint64_t bytes = 8 << 10;
   const double flat =
-      hier_alltoallv_ns(c, 4, 8, bytes, 3 * bytes, HierLevel::flat);
+      hier_alltoallv_ns(c, 4, 8, bytes, 3 * bytes, HierLevel::flat).total_ns;
   const double node =
-      hier_alltoallv_ns(c, 4, 8, bytes, 3 * bytes, HierLevel::node);
+      hier_alltoallv_ns(c, 4, 8, bytes, 3 * bytes, HierLevel::node).total_ns;
   EXPECT_LT(node, flat);
   // More inter-node volume costs more, whatever the level.
-  EXPECT_LT(hier_alltoallv_ns(c, 4, 8, bytes, bytes, HierLevel::node),
-            hier_alltoallv_ns(c, 4, 8, bytes, 8 * bytes, HierLevel::node));
+  EXPECT_LT(
+      hier_alltoallv_ns(c, 4, 8, bytes, bytes, HierLevel::node).total_ns,
+      hier_alltoallv_ns(c, 4, 8, bytes, 8 * bytes, HierLevel::node).total_ns);
+}
+
+TEST(HierColl, AlltoallvPicksBruckForSmallVolumesAndDirectForLarge) {
+  // A 16-node row: the direct exchange pays ceil(15/2) = 8 injection
+  // latencies, the two-port Bruck index exchange 3 rounds whose blocks
+  // ride up to three hops. Latency decides a small volume, bytes a large
+  // one.
+  Cluster c(make(64, 4));
+  const auto& cp = c.params();
+  const double alpha = cp.nic_msg_latency_ns;
+  const std::uint64_t small = 15 * 64;
+  const std::uint64_t large = 15ull << 16;
+  for (HierLevel h : {HierLevel::node, HierLevel::socket}) {
+    const AlltoallvTimes s = hier_alltoallv_ns(c, 16, 4, 0, small, h);
+    EXPECT_EQ(s.sched, A2aSchedule::bruck) << to_string(h);
+    EXPECT_LT(s.total_ns, 4 * alpha) << to_string(h);
+    const AlltoallvTimes l = hier_alltoallv_ns(c, 16, 4, 0, large, h);
+    EXPECT_EQ(l.sched, A2aSchedule::direct) << to_string(h);
+    // Direct: two staged passes, 8 injection latencies, the volume at the
+    // node's one-flow rate.
+    const double factor = h == HierLevel::socket ? 1.0 : cp.cico_factor;
+    EXPECT_DOUBLE_EQ(
+        l.total_ns,
+        2.0 * factor * static_cast<double>(large) / cp.shm_copy_bw +
+            8 * alpha + static_cast<double>(large) / c.link().nic_node_bw(1))
+        << to_string(h);
+  }
+  // The flat level and a one-node row take no inter-node schedule choice.
+  EXPECT_EQ(hier_alltoallv_ns(c, 16, 4, 0, small, HierLevel::flat).sched,
+            A2aSchedule::direct);
+  EXPECT_EQ(hier_alltoallv_ns(c, 1, 4, small, 0, HierLevel::node).sched,
+            A2aSchedule::direct);
+  EXPECT_STREQ(to_string(A2aSchedule::bruck), "bruck");
 }
 
 TEST(HierColl, Pipelined2Bounds) {

@@ -11,8 +11,12 @@
 // The digests were recorded with one vector allreduce per level, owned by
 // the level loop, and with codec gates that run no reductions beyond the
 // bitmap gate's priced trial. Each allreduce is charged the cheaper of a
-// flat and a node-aware recursive doubling (coll_model::allreduce_ns);
-// under the paper scaling these runs use, that is the flat one.
+// flat recursive doubling and a node-aware dissemination
+// (coll_model::allreduce_ns); under the paper scaling these runs use, that
+// is the flat one. Over these runs' two nodes every two-port schedule of
+// the 2-D collectives is one round of one message, equal to the
+// single-port form it replaced, so those schedules left the digests as
+// they were.
 
 #include <gtest/gtest.h>
 

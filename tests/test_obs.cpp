@@ -224,54 +224,80 @@ TEST(ObsHybrid, TimeSpansCoverAtLeast95PercentPerRank) {
 TEST(Obs2d, TracingOnOffIsBitIdentical) {
   // Parity with the 1-D invariant: the tracer reads clocks on every 2-D
   // phase (transpose/expand, scan, fold, claim return) without moving them.
-  Experiment e(bundle12(), shape(2, 4));
-  const auto& g = bundle12().csr;
-  const bfs2d::Grid2d grid =
-      bfs2d::Grid2d::make(g.num_vertices(), e.cluster().nranks(),
-                          e.cluster().ppn());
-  const bfs2d::DistGraph2d d = bfs2d::DistGraph2d::build(g, grid);
-  bfs2d::Bfs2dOptions o;
-  o.codec = bfs::CodecMode::gate;
-  o.exchange_chunks = 4;
-  o.hier = rt::coll_model::HierLevel::node;
-  const graph::Vertex root = bundle12().roots[0];
+  // Two shapes: 2 nodes x 4, and 64 nodes x 1 at physical alpha, whose
+  // 8-node rows take the Bruck index exchange on small folds.
+  ExperimentOptions wide = shape(64, 1);
+  wide.paper_cache_scaling = false;
+  for (const ExperimentOptions& opt : {shape(2, 4), wide}) {
+    Experiment e(bundle12(), opt);
+    const auto& g = bundle12().csr;
+    const bfs2d::Grid2d grid =
+        bfs2d::Grid2d::make(g.num_vertices(), e.cluster().nranks(),
+                            e.cluster().ppn());
+    const bfs2d::DistGraph2d d = bfs2d::DistGraph2d::build(g, grid);
+    bfs2d::Bfs2dOptions o;
+    o.codec = bfs::CodecMode::gate;
+    o.exchange_chunks = 4;
+    o.hier = rt::coll_model::HierLevel::node;
+    const graph::Vertex root = bundle12().roots[0];
 
-  const auto off = bfs2d::run_bfs_2d(e.cluster(), d, root, nullptr, o);
-  auto tr = std::make_shared<obs::Tracer>(e.cluster().nranks(),
-                                          e.cluster().ppn());
-  e.cluster().set_tracer(tr);
-  const auto on = bfs2d::run_bfs_2d(e.cluster(), d, root, nullptr, o);
-  e.cluster().set_tracer(nullptr);
-  const auto off2 = bfs2d::run_bfs_2d(e.cluster(), d, root, nullptr, o);
+    const auto off = bfs2d::run_bfs_2d(e.cluster(), d, root, nullptr, o);
+    auto tr = std::make_shared<obs::Tracer>(e.cluster().nranks(),
+                                            e.cluster().ppn());
+    e.cluster().set_tracer(tr);
+    const auto on = bfs2d::run_bfs_2d(e.cluster(), d, root, nullptr, o);
+    e.cluster().set_tracer(nullptr);
+    const auto off2 = bfs2d::run_bfs_2d(e.cluster(), d, root, nullptr, o);
 
-  EXPECT_GT(tr->total_events(), 0u);
-  for (const auto* r : {&on, &off2}) {
-    EXPECT_EQ(r->time_ns, off.time_ns);
-    EXPECT_EQ(r->visited, off.visited);
-    EXPECT_EQ(r->directions, off.directions);
-    EXPECT_EQ(r->traversed_directed_edges, off.traversed_directed_edges);
-    ASSERT_EQ(r->trace.size(), off.trace.size());
-    for (std::size_t i = 0; i < off.trace.size(); ++i) {
-      EXPECT_EQ(r->trace[i].wire_bytes(), off.trace[i].wire_bytes());
-      EXPECT_EQ(r->trace[i].wire_raw_bytes(), off.trace[i].wire_raw_bytes());
-      EXPECT_EQ(r->trace[i].discovered, off.trace[i].discovered);
+    EXPECT_GT(tr->total_events(), 0u);
+    for (const auto* r : {&on, &off2}) {
+      EXPECT_EQ(r->time_ns, off.time_ns);
+      EXPECT_EQ(r->visited, off.visited);
+      EXPECT_EQ(r->directions, off.directions);
+      EXPECT_EQ(r->traversed_directed_edges, off.traversed_directed_edges);
+      ASSERT_EQ(r->trace.size(), off.trace.size());
+      for (std::size_t i = 0; i < off.trace.size(); ++i) {
+        EXPECT_EQ(r->trace[i].wire_bytes(), off.trace[i].wire_bytes());
+        EXPECT_EQ(r->trace[i].wire_raw_bytes(),
+                  off.trace[i].wire_raw_bytes());
+        EXPECT_EQ(r->trace[i].discovered, off.trace[i].discovered);
+      }
     }
+    // The run rode the rank tracks: one level span per level plus the 2-D
+    // phase spans and the per-level gate decisions.
+    int levels = 0, expands = 0, folds = 0, gates = 0;
+    for (const auto& ev : tr->track(0)) {
+      if (ev.is_span() && ev.name.rfind("level ", 0) == 0) ++levels;
+      if (ev.is_span() && ev.name == "2d.expand") ++expands;
+      if (ev.is_span() && ev.name == "2d.fold") ++folds;
+      if (!ev.is_span() && ev.name == "codec.gate") ++gates;
+    }
+    EXPECT_EQ(levels, on.levels);
+    // Bootstrap build_inputs + one per exchange; the last level never
+    // exchanges (nf == 0 ends the loop), so gates fire levels - 1 times.
+    EXPECT_EQ(expands, on.levels);
+    EXPECT_EQ(folds, on.levels);
+    EXPECT_EQ(gates, on.levels - 1);
+    // Every fold names the schedule its row exchange was charged with; a
+    // one-node row never leaves the node, so it is always direct.
+    int direct = 0, bruck = 0;
+    for (int r = 0; r < e.cluster().nranks(); ++r)
+      for (const auto& ev : tr->track(r)) {
+        if (!ev.is_span() || ev.name != "2d.fold") continue;
+        const bool is_direct =
+            ev.args.find("\"sched\":\"direct\"") != std::string::npos;
+        const bool is_bruck =
+            ev.args.find("\"sched\":\"bruck\"") != std::string::npos;
+        EXPECT_NE(is_direct, is_bruck) << ev.args;
+        direct += is_direct;
+        bruck += is_bruck;
+      }
+    EXPECT_GT(direct, 0);
+    if (opt.nodes == 2)
+      EXPECT_EQ(bruck, 0);
+    else
+      EXPECT_GT(bruck, 0);
   }
-  // The run rode the rank tracks: one level span per level plus the 2-D
-  // phase spans and the per-level gate decisions.
-  int levels = 0, expands = 0, folds = 0, gates = 0;
-  for (const auto& ev : tr->track(0)) {
-    if (ev.is_span() && ev.name.rfind("level ", 0) == 0) ++levels;
-    if (ev.is_span() && ev.name == "2d.expand") ++expands;
-    if (ev.is_span() && ev.name == "2d.fold") ++folds;
-    if (!ev.is_span() && ev.name == "codec.gate") ++gates;
-  }
-  EXPECT_EQ(levels, on.levels);
-  // Bootstrap build_inputs + one per exchange; the last level never
-  // exchanges (nf == 0 ends the loop), so gates fire levels - 1 times.
-  EXPECT_EQ(expands, on.levels);
-  EXPECT_EQ(folds, on.levels);
-  EXPECT_EQ(gates, on.levels - 1);
 }
 
 // ---------------------------------------------------------------------------
