@@ -326,10 +326,13 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     std::vector<std::uint64_t> frontier_sizes;
     std::vector<std::uint64_t> discovered;
     std::vector<int> expand_codec;
-    double expand_ns_sum = 0;
+    std::vector<int> plan;
     double fold_ns_sum = 0;
   } shared;
   std::vector<std::vector<LegBytes>> rank_levels(static_cast<std::size_t>(np));
+  // Each rank's col-band delivery legs: (sum of their times, count).
+  std::vector<std::pair<double, int>> rank_expands(
+      static_cast<std::size_t>(np));
 
   bfs::LevelLoop loop(c, {.who = "run_bfs_2d", .trace_cat = obs::kCatBfs});
   std::vector<Ckpt2d> ckpt(static_cast<std::size_t>(np));
@@ -383,19 +386,30 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     if (opt.direction == bfs::Direction::hybrid)
       dir = beamer.first(root_stats[0], root_stats[1]);
 
+    // Level 0's col-band inputs hold the root alone, which every rank
+    // knows: the members of its column band set its bit locally, with no
+    // wire, gate or charge.
+    {
+      const auto s = static_cast<std::size_t>(p.rank);
+      const auto root_col = static_cast<int>(root / g.colband_bits());
+      if (g.col_of(p.rank) == root_col)
+        st.colband[s].view().set(root - g.colband_begin(root_col));
+      if (dir == 1)
+        st.colband_summary[s].view().rebuild_range(st.colband[s].view(), 0,
+                                                   g.colband_bits());
+    }
+
     std::uint64_t prev_nf = 1;  // the root seeds level 0's frontier
-    double my_expand_sum = 0, my_fold_sum = 0;
-    // (Re)build the col-band inputs of the current level from the frontier
-    // pieces, which hold prev_nf bits: the bootstrap from the root, and
-    // again after every rollback.
+    double my_fold_sum = 0;
+    // The legs that built the current level's inputs: none for level 0.
     LegBytes in_legs;
+    // A rollback restores the level's frontier pieces, which hold prev_nf
+    // bits; rebuild the col-band inputs from them.
     const auto build_inputs = [&](std::span<const int> parts) {
       ex.reset_legs();
       ex.build_inputs(p, dir, prev_nf, parts);
-      my_expand_sum += ex.last_expand_ns();
       in_legs = ex.legs();
     };
-    build_inputs(std::vector<int>{p.rank});
 
     // Per-attempt level state: the kernel step fills it, finish reads it.
     LegBytes cur_legs;
@@ -471,6 +485,7 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
         shared.frontier_sizes.push_back(prev_nf);
         shared.discovered.push_back(nf);
         shared.expand_codec.push_back(cur_legs.expand_codec);
+        shared.plan.push_back(cur_legs.plan);
       }
       const bool growing = nf > prev_nf;
       prev_nf = nf;
@@ -494,30 +509,19 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       ex.reset_legs();
       const bfs::ExchangeLevelStats exs =
           ex.exchange(p, dir, next, nf, lv.parts);
-      my_expand_sum += ex.last_expand_ns();
       p.trace_instant(obs::kCatBfs, "codec.gate",
                       bfs::gate_trace_args(lv.number, exs));
-      // Split the exchange's legs: the claim-return served this level; the
-      // transpose/expand belong to the level whose inputs they built.
-      const LegBytes exl = ex.legs();
-      cur_legs.ret_wire += exl.ret_wire;
-      cur_legs.ret_raw += exl.ret_raw;
-      in_legs = LegBytes{};
-      in_legs.transpose_wire = exl.transpose_wire;
-      in_legs.transpose_raw = exl.transpose_raw;
-      in_legs.expand_wire = exl.expand_wire;
-      in_legs.expand_raw = exl.expand_raw;
-      in_legs.expand_codec = exl.expand_codec;
+      // Every leg of the exchange built the next level's inputs.
+      in_legs = ex.legs();
       record_level();
       dir = next;
       return true;
     };
 
     loop.run(p, 0, hooks);
-    if (p.rank == loop.recorder()) {
-      shared.expand_ns_sum = my_expand_sum;
-      shared.fold_ns_sum = my_fold_sum;
-    }
+    rank_expands[static_cast<std::size_t>(p.rank)] = {ex.expand_ns_sum(),
+                                                      ex.expands()};
+    if (p.rank == loop.recorder()) shared.fold_ns_sum = my_fold_sum;
   });
 
   // --- aggregate (host side) -------------------------------------------
@@ -531,12 +535,17 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     traversed += dg.owned_edges[static_cast<std::size_t>(r)] -
                  st.unvisited_edges[static_cast<std::size_t>(r)];
   out.traversed_directed_edges = traversed;
-  if (out.levels > 0) {
-    out.expand_ns_per_level =
-        shared.expand_ns_sum / static_cast<double>(out.levels);
+  double expand_ns_sum = 0;
+  int expands = 0;
+  for (const auto& [sum, n] : rank_expands) {
+    expand_ns_sum += sum;
+    expands += n;
+  }
+  if (expands > 0)
+    out.expand_ns_per_level = expand_ns_sum / static_cast<double>(expands);
+  if (out.levels > 0)
     out.fold_ns_per_level =
         shared.fold_ns_sum / static_cast<double>(out.levels);
-  }
 
   out.trace.reserve(out.directions.size());
   for (std::size_t lvl = 0; lvl < out.directions.size(); ++lvl) {
@@ -546,6 +555,7 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
     t.frontier_vertices = shared.frontier_sizes[lvl];
     t.discovered = shared.discovered[lvl];
     t.expand_codec = shared.expand_codec[lvl];
+    t.plan = shared.plan[lvl];
     for (const auto& rl : rank_levels) {
       if (lvl >= rl.size()) continue;
       t.transpose_wire_bytes += rl[lvl].transpose_wire;

@@ -11,22 +11,32 @@
 /// = pieces [i*C, (i+1)*C) and col-band j = pieces [j*R, (j+1)*R). The
 /// adjacency matrix is blocked: rank (i,j) stores the edges from col-band j
 /// into row-band i. One level runs as:
-///   1. *transpose*: the owner of piece g sends it to the column member
-///      that assembles slot g%R of col-band g/R;
-///   2. *expand*: allgather along each processor column assembles the full
-///      col-band frontier bitmap on every member (O(n/C) per rank — the
-///      volume law that beats the 1-D allgather's O(n) at scale);
-///   3. *local scan*: top-down walks the frontier's groups; bottom-up walks
+///   1. *inputs*: every member of column j assembles the col-band frontier
+///      bitmap of col-band j (O(n/C) per rank — the volume law that beats
+///      the 1-D allgather's O(n) at scale), by one of two plans
+///      (exchange2d.hpp):
+///      - *column*: the owner of piece g sends it to the column member that
+///        assembles slot g%R of col-band g/R (the piece transpose), and an
+///        allgather along each processor column completes the band;
+///      - *row* (whenever C % R == 0 and R > 1, until a rank dies): an
+///        allgather along each processor row gives every member its row
+///        band's frontier, and each rank's piece-transpose partner, whose
+///        row band holds the rank's whole col band, sends it its R pieces
+///        (the band transpose);
+///      level 0's inputs are the root alone, set locally by its column;
+///   2. *local scan*: top-down walks the frontier's groups; bottom-up walks
 ///      the unvisited row-band targets probing the col-band bitmap through
 ///      its Fig. 8 summary;
-///   4. *fold*: (child, parent) claims are routed along the processor row
+///   3. *fold*: (child, parent) claims are routed along the processor row
 ///      to the child's owner, which deduplicates against `visited`;
-///   5. *claim-return* (bottom-up levels): a row allgather of the new
-///      frontier pieces keeps every member's row-band visited replica
-///      current, so the next bottom-up scan can skip settled targets.
+///   4. *row replicas*: the row allgather (on every row-plan level, and
+///      before a bottom-up level under the column plan) ORs the new
+///      frontier pieces into every member's row-band visited replica, so
+///      the bottom-up scan can skip settled targets.
 /// With ppn | C, a row spans C/ppn whole nodes and a column touches one
 /// rank per node — rows intra-node, columns inter-node, the layout the
-/// paper's NUMA optimizations compose with.
+/// paper's NUMA optimizations compose with, and the reason the row plan's
+/// allgather over C/ppn nodes undercuts the column's over R nodes.
 
 #include <cstdint>
 #include <vector>
@@ -89,6 +99,12 @@ class Grid2d {
   }
   /// The piece assembled at slot `k` of column `j`'s col-band.
   int transpose_src(int k, int j) const { return j * rows_ + k; }
+  /// The rank whose piece `rank` assembles in the piece transpose: piece
+  /// j*R + i, its own slot's origin. When C % R == 0 that rank's row band
+  /// holds all of col-band j, so under the row plan it sends the band.
+  int transpose_partner(int rank) const {
+    return transpose_src(row_of(rank), col_of(rank));
+  }
 
  private:
   std::uint64_t n_;
@@ -133,11 +149,11 @@ struct Bfs2dOptions {
   bfs::Direction direction = bfs::Direction::hybrid;
   double alpha = 14.0;  ///< td -> bu when mf > rem / alpha (Beamer)
   double beta = 24.0;   ///< bu -> td when nf < n / beta
-  /// Exchange codec (DESIGN.md §10) applied to the transpose/expand pieces,
-  /// the fold's claim lists, and the claim-return pieces.
+  /// Exchange codec (DESIGN.md §10) applied to the frontier pieces on every
+  /// input leg and to the fold's claim lists.
   bfs::CodecMode codec = bfs::CodecMode::off;
   int exchange_chunks = 1;  ///< K-chunk wire/decode pipelining
-  /// Hierarchy level of the column allgather and row alltoallv.
+  /// Hierarchy level of the row and column allgathers and row alltoallv.
   rt::coll_model::HierLevel hier = rt::coll_model::HierLevel::flat;
   std::uint64_t summary_granularity = 64;  ///< col-band summary (Fig. 8)
 
@@ -154,7 +170,13 @@ struct Level2dTrace {
   int direction = 0;  ///< 0 = top-down, 1 = bottom-up
   std::uint64_t frontier_vertices = 0;
   std::uint64_t discovered = 0;
-  int expand_codec = 0;   ///< graph::codec::Kind of the transpose/expand gate
+  /// graph::codec::Kind of the gate on the pieces that built this level's
+  /// inputs; -1 at level 0, whose inputs are seeded without an exchange.
+  int expand_codec = -1;
+  /// BandPlan that built this level's inputs: 0 column, 1 row, -1 none.
+  int plan = -1;
+  /// The legs that built this level's inputs (the row leg and a replica
+  /// rebuild in return_*), then the level's own fold.
   std::uint64_t transpose_wire_bytes = 0, transpose_raw_bytes = 0;
   std::uint64_t expand_wire_bytes = 0, expand_raw_bytes = 0;
   std::uint64_t fold_wire_bytes = 0, fold_raw_bytes = 0;
@@ -183,7 +205,11 @@ struct Bfs2dResult {
   sim::PhaseProfile profile_avg;  ///< times averaged, counters summed
   sim::PhaseProfile profile_max;
   std::vector<Level2dTrace> trace;
-  /// mean time of one expand (column allgather) / fold (row exchange)
+  /// Mean time of one col-band delivery leg — the column allgather, or
+  /// under the row plan the band transpose — over every rank and input
+  /// build that was charged one (level 0 runs none, and under the row plan
+  /// a rank that is its own transpose partner receives no band), and of one
+  /// fold (row exchange) per level.
   double expand_ns_per_level = 0;
   double fold_ns_per_level = 0;
 

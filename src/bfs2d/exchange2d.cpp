@@ -1,5 +1,6 @@
 #include "bfs2d/exchange2d.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -42,21 +43,118 @@ State2d::State2d(const DistGraph2d& dg, std::uint64_t summary_granularity) {
                           static_cast<std::size_t>(g.cols())));
   out_parents = out_children;
   enc_piece.resize(static_cast<std::size_t>(np));
-  enc_ret.resize(static_cast<std::size_t>(np));
   enc_fold.assign(static_cast<std::size_t>(np),
                   std::vector<std::vector<std::uint8_t>>(
                       static_cast<std::size_t>(g.cols())));
 }
 
+const char* to_string(BandPlan b) {
+  switch (b) {
+    case BandPlan::column: return "column";
+    case BandPlan::row: return "row";
+  }
+  return "?";
+}
+
+namespace {
+
+/// A transpose message of `bytes`: one NIC message among the node's ppn
+/// concurrent flows (every member of a node receives one).
+double transpose_price_ns(const rt::Cluster& c, std::uint64_t bytes) {
+  return c.params().nic_msg_latency_ns +
+         static_cast<double>(bytes) /
+             c.link().nic_flow_bw(c.ppn(), cm::min_nic_factor(c));
+}
+
+/// The column allgather: R members, one per node, ppn columns per node.
+cm::CollTimes column_allgather(const rt::Cluster& c, const Grid2d& g,
+                               std::uint64_t b, cm::HierLevel hier) {
+  return cm::hier_subgroup_allgather(c, g.rows(), 1, c.ppn(), b, hier);
+}
+
+/// The row allgather: C members over C/ppn nodes, ppn of them per node.
+cm::CollTimes row_allgather(const rt::Cluster& c, const Grid2d& g,
+                            std::uint64_t b, cm::HierLevel hier) {
+  return cm::hier_subgroup_allgather(c, std::max(1, g.cols() / c.ppn()),
+                                     std::min(c.ppn(), g.cols()), 1, b, hier);
+}
+
+}  // namespace
+
+BandPlan pick_plan(const Grid2d& g, int next_dir, bool rows_fresh,
+                   bool degraded) {
+  const bool row = g.rows() > 1 && g.cols() % g.rows() == 0 && !degraded &&
+                   (next_dir == 0 || rows_fresh);
+  return row ? BandPlan::row : BandPlan::column;
+}
+
+double plan_ns(const rt::Cluster& c, const Grid2d& g, cm::HierLevel hier,
+               BandPlan plan, bool row_leg, std::uint64_t chunk_bytes) {
+  const int R = g.rows();
+  double t = row_leg && g.cols() > 1
+                 ? row_allgather(c, g, chunk_bytes, hier).total_ns
+                 : 0.0;
+  if (R > 1)
+    t += plan == BandPlan::row
+             ? transpose_price_ns(
+                   c, chunk_bytes * static_cast<std::uint64_t>(R))
+             : transpose_price_ns(c, chunk_bytes) +
+                   column_allgather(c, g, chunk_bytes, hier).total_ns;
+  return t;
+}
+
+std::uint64_t TwoDExchange::piece_wire_bytes(codec::Kind kind, int o) const {
+  return kind == codec::Kind::raw
+             ? dg_.grid.piece_bits() / 8
+             : st_.enc_piece[static_cast<std::size_t>(o)].size();
+}
+
+void TwoDExchange::land_piece(codec::Kind kind, int o,
+                              std::span<std::uint64_t> dst) const {
+  if (kind == codec::Kind::raw) {
+    auto src = st_.frontier[static_cast<std::size_t>(o)].view().words();
+    std::memcpy(dst.data(), src.data(), dst.size() * 8);
+  } else {
+    const auto& buf = st_.enc_piece[static_cast<std::size_t>(o)];
+    bfs::decode_bitmap_checked({buf.data(), buf.size()}, dst, "expand2d", o);
+  }
+}
+
+double TwoDExchange::p2p_ns(const rt::Proc& p, int src, int dst,
+                            std::uint64_t bytes, std::uint64_t& intra,
+                            std::uint64_t& inter) const {
+  const rt::Cluster& c = *p.cluster;
+  if (c.node_of(src) == c.node_of(dst)) {
+    intra += bytes;
+    return c.params().cico_factor * static_cast<double>(bytes) /
+           c.link().shm_flow_bw(1);
+  }
+  inter += bytes;
+  const double alpha = c.params().nic_msg_latency_ns;
+  const double t =
+      c.link().nic_transfer_ns(bytes, p.ppn, c.node_of(src), c.node_of(dst));
+  const faults::FaultInjector* inj = c.injector();
+  return inj == nullptr
+             ? t
+             : alpha + (t - alpha) / inj->min_link_factor(p.clock.now_ns());
+}
+
 bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
                                                    std::uint64_t frontier_bits,
                                                    std::span<const int> parts) {
+  return deliver(p, dir, frontier_bits, parts, /*after_level=*/false);
+}
+
+bfs::ExchangeLevelStats TwoDExchange::deliver(rt::Proc& p, int dir,
+                                              std::uint64_t frontier_bits,
+                                              std::span<const int> parts,
+                                              bool after_level) {
   rt::Cluster& c = *p.cluster;
   const faults::FaultInjector* inj = c.injector();
   rt::Comm& world = c.world();
   const Grid2d& g = dg_.grid;
   const int R = g.rows();
-  const int ppn = p.ppn;
+  const int C = g.cols();
   const std::uint64_t piece_words = g.piece_bits() / 64;
   const std::uint64_t piece_bytes = piece_words * 8;
   const bfs::UnitCosts& u = costs_[static_cast<std::size_t>(p.rank)];
@@ -65,22 +163,19 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
   const bool degraded = inj != nullptr && inj->any_dead();
   const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
   const double t0 = p.clock.now_ns();
-  // The column allgather: R members, one per node, ppn columns per node.
-  const auto col_allgather = [&](std::uint64_t b) {
-    return cm::hier_subgroup_allgather(c, R, 1, ppn, b, hier);
-  };
 
-  // One gate decision covers the transpose and the expand: the same wire
-  // pieces ride both legs, and the plan the gate optimizes is their sum.
-  const auto plan_total = [&](std::uint64_t b) {
-    const double transpose_ns =
-        R > 1 ? c.params().nic_msg_latency_ns +
-                    static_cast<double>(b) /
-                        c.link().nic_flow_bw(ppn, cm::min_nic_factor(c))
-              : 0.0;
-    const double expand_ns = R > 1 ? col_allgather(b).total_ns : 0.0;
-    return transpose_ns + expand_ns;
-  };
+  // A rollback rebuilds from the restored frontier pieces alone, by the
+  // column plan. A level exchange serves the row replicas too: by the row
+  // leg while they are current, else, before a bottom-up level, by the
+  // rebuild from the visited pieces.
+  const bool fresh = after_level && rows_fresh_;
+  const bool rebuild = after_level && dir == 1 && !rows_fresh_;
+  const BandPlan plan = pick_plan(g, dir, fresh, degraded || !after_level);
+  // The row plan always runs the row leg; the column plan before a
+  // bottom-up level while the replicas are current.
+  const bool row_leg = plan == BandPlan::row || (fresh && dir == 1);
+
+  // One gate decision covers every leg the pieces ride, priced by the plan.
   std::vector<bfs::GateChunk> chunks;
   bfs::for_owned_parts(p, parts, [&](int q) {
     bfs::GateChunk ch;
@@ -90,88 +185,141 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
   });
   const bfs::GateResult gate = bfs::gate_bitmap_chunks(
       p, world, opt_.codec, K, chunks, frontier_bits, piece_words,
-      g.piece_bits(), static_cast<std::uint64_t>(R), u, phase, plan_total);
+      g.piece_bits(), static_cast<std::uint64_t>(R + (row_leg ? C : 0)), u,
+      phase, [&](std::uint64_t b) {
+        return plan_ns(c, g, hier, plan, row_leg, b);
+      });
   const codec::Kind kind = gate.kind;
+  const bool coded = kind != codec::Kind::raw;
   legs_.expand_codec = static_cast<int>(kind);
+  legs_.plan = static_cast<int>(plan);
 
   p.barrier(world, sim::Phase::stall);  // frontier pieces/encodings ready
 
-  // Wire size of one piece (mean measured encoding, raw otherwise) and the
-  // bytes a given origin's piece actually occupies.
-  const auto origin_bytes = [&](int o) -> std::uint64_t {
-    return kind == codec::Kind::raw
-               ? piece_bytes
-               : st_.enc_piece[static_cast<std::size_t>(o)].size();
-  };
-
   std::uint64_t wire0 = 0, raw0 = 0;
   std::uint64_t intra = 0, inter = 0;
-  bfs::for_owned_parts(p, parts, [&](int q) {
+  const auto count = [&](std::uint64_t& wire, std::uint64_t& raw,
+                         std::uint64_t b, std::uint64_t r) {
+    wire += b;
+    raw += r;
+    wire0 += b;
+    raw0 += r;
+    p.prof.counters().bytes_raw_equiv += r;
+  };
+
+  if (rebuild) {
+    // td -> bu switch: the replicas missed the top-down levels' claims —
+    // rebuild them outright from the row's visited pieces (dense maps; a
+    // codec would only add headers). Charged to switch_conv, like the
+    // 1-D's discovered-list materialization.
+    for (int q : parts) {
+      const int iq = g.row_of(q);
+      auto rv = st_.row_visited[static_cast<std::size_t>(q)].view().words();
+      for (int k = 0; k < C; ++k) {
+        const int m = g.rank_at(iq, k);
+        auto src = st_.visited[static_cast<std::size_t>(m)].view().words();
+        std::memcpy(rv.data() + static_cast<std::uint64_t>(k) * piece_words,
+                    src.data(), piece_bytes);
+        if (m == q) continue;
+        count(legs_.ret_wire, legs_.ret_raw, piece_bytes, piece_bytes);
+        (c.node_of(m) == c.node_of(q) ? intra : inter) += piece_bytes;
+      }
+      p.charge(sim::Phase::switch_conv,
+               bfs::stretched_ns(p, row_allgather(c, g, piece_bytes, hier)) +
+                   u.stream_pass_ns(g.band_bits() / 64));
+    }
+  }
+
+  for (int q : parts) {
     const int iq = g.row_of(q);
     const int jq = g.col_of(q);
+    double leg_ns = 0;
+    if (row_leg) {
+      // The row allgather of the new frontier pieces, OR-ed into the
+      // replica.
+      auto rv = st_.row_visited[static_cast<std::size_t>(q)].view().words();
+      for (int k = 0; k < C; ++k) {
+        const int m = g.rank_at(iq, k);
+        auto dst = rv.subspan(static_cast<std::uint64_t>(k) * piece_words,
+                              piece_words);
+        dec_piece_.resize(piece_words);
+        land_piece(kind, m, dec_piece_);
+        for (std::uint64_t w = 0; w < piece_words; ++w) dst[w] |= dec_piece_[w];
+        if (m == q) continue;
+        const std::uint64_t b = piece_wire_bytes(kind, m);
+        count(legs_.ret_wire, legs_.ret_raw, b, piece_bytes);
+        (c.node_of(m) == c.node_of(q) ? intra : inter) += b;
+      }
+      leg_ns += u.stream_pass_ns(g.band_bits() / 64);  // the OR pass
+      if (C > 1) {
+        double tot = bfs::stretched_ns(
+            p, row_allgather(c, g, gate.wire_chunk_bytes, hier));
+        if (coded)
+          tot = bfs::overlap_decode_ns(
+              p, tot,
+              u.stream_pass_ns(static_cast<std::uint64_t>(C) * piece_words),
+              K);
+        leg_ns += tot;
+      }
+    }
+
     // Real assembly: col-band slot k <- piece j*R + k, decoded or copied.
     auto cb = st_.colband[static_cast<std::size_t>(q)].view().words();
+    std::uint64_t band_bytes = 0;
     for (int k = 0; k < R; ++k) {
       const int o = g.transpose_src(k, jq);
-      auto dst = cb.subspan(static_cast<std::uint64_t>(k) * piece_words,
-                            piece_words);
-      if (kind == codec::Kind::raw) {
-        auto src = st_.frontier[static_cast<std::size_t>(o)].view().words();
-        std::memcpy(dst.data(), src.data(), piece_bytes);
-      } else {
-        const auto& buf = st_.enc_piece[static_cast<std::size_t>(o)];
-        bfs::decode_bitmap_checked({buf.data(), buf.size()}, dst, "expand2d",
-                                   o);
+      land_piece(kind, o,
+                 cb.subspan(static_cast<std::uint64_t>(k) * piece_words,
+                            piece_words));
+      band_bytes += piece_wire_bytes(kind, o);
+    }
+    // Under the row plan partition q's transpose partner sends all of col
+    // band j, as its R pieces rode the row leg.
+    const int to = g.transpose_partner(q);
+    if (plan == BandPlan::row) {
+      // A partition that is its own partner holds its col band already.
+      double band_ns = 0;
+      if (to != q) {
+        band_ns = p2p_ns(p, to, q, band_bytes, intra, inter);
+        count(legs_.transpose_wire, legs_.transpose_raw, band_bytes,
+              static_cast<std::uint64_t>(R) * piece_bytes);
       }
-    }
-    // Transpose accounting: partition q is the column member that received
-    // exactly one piece, its own slot's origin j*R + i.
-    const int to = g.transpose_src(iq, jq);
-    double transpose_ns = 0;
-    if (to != q) {
-      const std::uint64_t b = origin_bytes(to);
-      legs_.transpose_wire += b;
-      legs_.transpose_raw += piece_bytes;
-      wire0 += b;
-      raw0 += piece_bytes;
-      p.prof.counters().bytes_raw_equiv += piece_bytes;
-      if (c.node_of(to) == c.node_of(q)) {
-        intra += b;
-        transpose_ns = c.params().cico_factor * static_cast<double>(b) /
-                       c.link().shm_flow_bw(1);
-      } else {
-        inter += b;
-        transpose_ns =
-            c.link().nic_transfer_ns(b, ppn, c.node_of(to), c.node_of(q));
-        if (inj != nullptr)
-          transpose_ns = c.params().nic_msg_latency_ns +
-                         (transpose_ns - c.params().nic_msg_latency_ns) /
-                             inj->min_link_factor(p.clock.now_ns());
-      }
-    }
-    // Expand accounting: the other R-1 column members' contributions.
-    for (int k = 0; k < R; ++k) {
-      const int m = g.rank_at(k, jq);
-      if (m == q) continue;
-      const std::uint64_t b = origin_bytes(g.transpose_src(k, jq));
-      legs_.expand_wire += b;
-      legs_.expand_raw += piece_bytes;
-      wire0 += b;
-      raw0 += piece_bytes;
-      p.prof.counters().bytes_raw_equiv += piece_bytes;
-      (c.node_of(m) == c.node_of(q) ? intra : inter) += b;
-    }
-    // Modeled duration of this partition's column collective.
-    double leg_ns = transpose_ns;
-    if (R > 1) {
-      double tot =
-          bfs::stretched_ns(p, col_allgather(gate.wire_chunk_bytes));
-      if (kind != codec::Kind::raw)
-        tot = bfs::overlap_decode_ns(
-            p, tot,
+      if (coded)
+        band_ns = bfs::overlap_decode_ns(
+            p, band_ns,
             u.stream_pass_ns(static_cast<std::uint64_t>(R) * piece_words), K);
-      leg_ns += tot;
-      last_expand_ns_ = tot;
+      leg_ns += band_ns;
+      if (to != q) {
+        expand_ns_sum_ += band_ns;
+        ++expands_;
+      }
+    } else {
+      // Transpose: partition q received exactly one piece, its own slot's.
+      if (to != q) {
+        const std::uint64_t b = piece_wire_bytes(kind, to);
+        count(legs_.transpose_wire, legs_.transpose_raw, b, piece_bytes);
+        leg_ns += p2p_ns(p, to, q, b, intra, inter);
+      }
+      // Expand: the other R-1 column members' contributions.
+      for (int k = 0; k < R; ++k) {
+        const int m = g.rank_at(k, jq);
+        if (m == q) continue;
+        const std::uint64_t b = piece_wire_bytes(kind, g.transpose_src(k, jq));
+        count(legs_.expand_wire, legs_.expand_raw, b, piece_bytes);
+        (c.node_of(m) == c.node_of(q) ? intra : inter) += b;
+      }
+      if (R > 1) {
+        double tot = bfs::stretched_ns(
+            p, column_allgather(c, g, gate.wire_chunk_bytes, hier));
+        if (coded)
+          tot = bfs::overlap_decode_ns(
+              p, tot,
+              u.stream_pass_ns(static_cast<std::uint64_t>(R) * piece_words),
+              K);
+        leg_ns += tot;
+        expand_ns_sum_ += tot;
+        ++expands_;
+      }
     }
     if (dir == 1) {
       // Bottom-up scans probe the col-band through its Fig. 8 summary;
@@ -183,13 +331,15 @@ bfs::ExchangeLevelStats TwoDExchange::build_inputs(rt::Proc& p, int dir,
       leg_ns += u.stream_pass_ns(g.colband_bits() / 64);
     }
     p.charge(phase, leg_ns);
-  });
+  }
   p.prof.counters().bytes_intra_node += intra;
   p.prof.counters().bytes_inter_node += inter;
+  if (after_level) rows_fresh_ = rebuild || (rows_fresh_ && row_leg);
 
-  p.barrier(world, phase);  // the column collectives complete together
+  p.barrier(world, phase);  // the level's inputs complete together
   p.trace_span(obs::kCatBfs, "2d.expand", t0, p.clock.now_ns(),
                obs::kv("kind", codec::to_string(kind)) + "," +
+                   obs::kv("plan", to_string(plan)) + "," +
                    obs::kv("wire_bytes", wire0));
 
   bfs::ExchangeLevelStats s;
@@ -381,138 +531,18 @@ FoldStats TwoDExchange::fold(rt::Proc& p, int dir, std::span<const int> parts) {
 bfs::ExchangeLevelStats TwoDExchange::exchange(rt::Proc& p, int /*cur_dir*/,
                                                int next_dir, std::uint64_t nf,
                                                std::span<const int> parts) {
-  rt::Cluster& c = *p.cluster;
-  const faults::FaultInjector* inj = c.injector();
-  rt::Comm& world = c.world();
-  const Grid2d& g = dg_.grid;
-  const int C = g.cols();
-  const int ppn = p.ppn;
-  const std::uint64_t piece_words = g.piece_bits() / 64;
-  const std::uint64_t piece_bytes = piece_words * 8;
   const bfs::UnitCosts& u = costs_[static_cast<std::size_t>(p.rank)];
   const sim::Phase phase =
       next_dir == 1 ? sim::Phase::bu_comm : sim::Phase::td_comm;
-  const int K = std::max(1, opt_.exchange_chunks);
-  const bool degraded = inj != nullptr && inj->any_dead();
-  const cm::HierLevel hier = degraded ? cm::HierLevel::flat : opt_.hier;
-  // The row allgather: C members over C/ppn nodes, ppn of them per node.
-  const auto row_allgather = [&](std::uint64_t b) {
-    return cm::hier_subgroup_allgather(c, std::max(1, C / ppn),
-                                       std::min(ppn, C), 1, b, hier);
-  };
-
-  // Advance: the accepted claims become the next frontier.
+  // Advance: the accepted claims become the next frontier. The gate reads
+  // only the caller's own pieces; the barrier after it publishes them.
   for (int q : parts) {
     std::swap(st_.frontier[static_cast<std::size_t>(q)],
               st_.next[static_cast<std::size_t>(q)]);
     st_.next[static_cast<std::size_t>(q)].view().reset();
-    p.charge(phase, u.stream_pass_ns(2 * piece_words));
+    p.charge(phase, u.stream_pass_ns(2 * (dg_.grid.piece_bits() / 64)));
   }
-  p.barrier(world, sim::Phase::stall);  // frontiers advanced everywhere
-
-  std::uint64_t ret_wire = 0, ret_raw = 0;
-  if (next_dir == 1) {
-    std::uint64_t intra = 0, inter = 0;
-    if (!rows_fresh_) {
-      // td -> bu switch: the replicas missed the top-down levels' claims —
-      // rebuild them outright from the row's visited pieces (dense maps;
-      // a codec would only add headers). Charged to switch_conv, like the
-      // 1-D's discovered-list materialization.
-      for (int q : parts) {
-        const int iq = g.row_of(q);
-        auto rv = st_.row_visited[static_cast<std::size_t>(q)].view().words();
-        for (int k = 0; k < C; ++k) {
-          const int m = g.rank_at(iq, k);
-          auto src = st_.visited[static_cast<std::size_t>(m)].view().words();
-          std::memcpy(rv.data() + static_cast<std::uint64_t>(k) * piece_words,
-                      src.data(), piece_bytes);
-          if (m == q) continue;
-          ret_wire += piece_bytes;
-          ret_raw += piece_bytes;
-          (c.node_of(m) == c.node_of(q) ? intra : inter) += piece_bytes;
-          p.prof.counters().bytes_raw_equiv += piece_bytes;
-        }
-        p.charge(sim::Phase::switch_conv,
-                 bfs::stretched_ns(p, row_allgather(piece_bytes)) +
-                     u.stream_pass_ns(g.band_bits() / 64));
-      }
-    } else {
-      // Claim-return: a row allgather of the (sparse) new frontier pieces,
-      // OR-ed into the replicas — gated like the expand, but against the
-      // row collective's plan.
-      const auto plan_total = [&](std::uint64_t b) {
-        return C > 1 ? row_allgather(b).total_ns : 0.0;
-      };
-      std::vector<bfs::GateChunk> chunks;
-      bfs::for_owned_parts(p, parts, [&](int q) {
-        bfs::GateChunk ch;
-        ch.words = st_.frontier[static_cast<std::size_t>(q)].view().words();
-        ch.enc = &st_.enc_ret[static_cast<std::size_t>(q)];
-        chunks.push_back(ch);
-      });
-      const bfs::GateResult gate = bfs::gate_bitmap_chunks(
-          p, world, opt_.codec, K, chunks, nf, piece_words, g.piece_bits(),
-          static_cast<std::uint64_t>(C), u, phase, plan_total);
-      p.barrier(world, sim::Phase::stall);  // return encodings ready
-
-      for (int q : parts) {
-        const int iq = g.row_of(q);
-        auto rv = st_.row_visited[static_cast<std::size_t>(q)].view().words();
-        for (int k = 0; k < C; ++k) {
-          const int m = g.rank_at(iq, k);
-          auto dst = rv.subspan(static_cast<std::uint64_t>(k) * piece_words,
-                                piece_words);
-          std::uint64_t bytes = piece_bytes;
-          if (gate.kind == codec::Kind::raw) {
-            auto src =
-                st_.frontier[static_cast<std::size_t>(m)].view().words();
-            for (std::uint64_t w = 0; w < piece_words; ++w)
-              dst[w] |= src[w];
-          } else {
-            const auto& buf = st_.enc_ret[static_cast<std::size_t>(m)];
-            dec_piece_.assign(piece_words, 0);
-            bfs::decode_bitmap_checked({buf.data(), buf.size()}, dec_piece_,
-                                       "claim_return2d", m);
-            for (std::uint64_t w = 0; w < piece_words; ++w)
-              dst[w] |= dec_piece_[w];
-            bytes = buf.size();
-          }
-          if (m == q) continue;
-          ret_wire += bytes;
-          ret_raw += piece_bytes;
-          (c.node_of(m) == c.node_of(q) ? intra : inter) += bytes;
-          p.prof.counters().bytes_raw_equiv += piece_bytes;
-        }
-        double leg_ns = u.stream_pass_ns(g.band_bits() / 64);  // the OR pass
-        if (C > 1) {
-          double tot =
-              bfs::stretched_ns(p, row_allgather(gate.wire_chunk_bytes));
-          if (gate.kind != codec::Kind::raw)
-            tot = bfs::overlap_decode_ns(
-                p, tot,
-                u.stream_pass_ns(static_cast<std::uint64_t>(C) * piece_words),
-                K);
-          leg_ns += tot;
-        }
-        p.charge(phase, leg_ns);
-      }
-    }
-    p.prof.counters().bytes_intra_node += intra;
-    p.prof.counters().bytes_inter_node += inter;
-    legs_.ret_wire += ret_wire;
-    legs_.ret_raw += ret_raw;
-    rows_fresh_ = true;
-    p.barrier(world, phase);
-  } else {
-    // Top-down levels fold without returning claims; the replicas go stale
-    // until the next bottom-up switch rebuilds them.
-    rows_fresh_ = false;
-  }
-
-  bfs::ExchangeLevelStats s = build_inputs(p, next_dir, nf, parts);
-  s.wire_bytes += ret_wire;
-  s.raw_bytes += ret_raw;
-  return s;
+  return deliver(p, next_dir, nf, parts, /*after_level=*/true);
 }
 
 }  // namespace numabfs::bfs2d

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+
+#include "bfs2d/exchange2d.hpp"
 
 #include "faults/errors.hpp"
 #include "faults/fault_plan.hpp"
@@ -141,6 +144,141 @@ TEST(DistGraph2d, BlockMembershipRespectsBands) {
       for (graph::Vertex u : b.bu_sources)
         EXPECT_EQ(static_cast<int>(u / grid.colband_bits()), j);
     }
+}
+
+// --- col-band delivery plans (exchange2d.hpp) ----------------------------
+
+/// Every Grid2d::make shape of 2..256 nodes x ppn 1, 2, 4 and 8.
+std::vector<std::pair<int, int>> plan_shapes() {
+  std::vector<std::pair<int, int>> out;
+  for (int nodes : {2, 4, 8, 16, 32, 64, 128, 144, 256})
+    for (int ppn : {1, 2, 4, 8}) out.emplace_back(nodes, ppn);
+  return out;
+}
+
+TEST(Bfs2dPlan, RowPlanRunsWhereverItCan) {
+  int divisible = 0, rows_picked = 0;
+  for (const auto& [nodes, ppn] : plan_shapes()) {
+    const Grid2d g = Grid2d::make(1 << 20, nodes * ppn, ppn);
+    const bool divides = g.cols() % g.rows() == 0;
+    divisible += divides;
+    for (int next_dir : {0, 1})
+      for (bool fresh : {true, false})
+        for (bool degraded : {false, true}) {
+          SCOPED_TRACE(std::to_string(nodes) + "x" + std::to_string(ppn) +
+                       " next " + std::to_string(next_dir) +
+                       (fresh ? " fresh" : "") + (degraded ? " degraded" : ""));
+          const BandPlan pl = pick_plan(g, next_dir, fresh, degraded);
+          // Never where a partner's row band misses the col band, once a
+          // rank has died, or before a bottom-up level whose replicas are
+          // stale; always otherwise, given a band to deliver (R > 1).
+          const bool can = g.rows() > 1 && divides && !degraded &&
+                           (next_dir == 0 || fresh);
+          EXPECT_EQ(pl, can ? BandPlan::row : BandPlan::column);
+          rows_picked += pl == BandPlan::row;
+        }
+  }
+  // The sweep covers both kinds of grid and both plans.
+  EXPECT_GT(divisible, 0);
+  EXPECT_LT(divisible, static_cast<int>(plan_shapes().size()));
+  EXPECT_GT(rows_picked, 0);
+}
+
+TEST(Bfs2dPlan, OneProcessorRowKeepsTheColumnPlan) {
+  // A 1 x 2 grid: each rank's col band is its own piece, so the column
+  // plan moves nothing before a top-down level, where the row plan would
+  // pay a row allgather; before a bottom-up level both run the row leg
+  // alone.
+  rt::Cluster c(sim::Topology::xeon_x7550_cluster(2), sim::CostParams{}, 1);
+  const Grid2d g = Grid2d::make(1 << 12, 2, 1);
+  ASSERT_EQ(g.rows(), 1);
+  const auto h = rt::coll_model::HierLevel::node;
+  const std::uint64_t b = g.piece_bits() / 8;
+  for (int next_dir : {0, 1})
+    EXPECT_EQ(pick_plan(g, next_dir, true, false), BandPlan::column);
+  EXPECT_EQ(plan_ns(c, g, h, BandPlan::column, false, b), 0.0);
+  EXPECT_GT(plan_ns(c, g, h, BandPlan::row, true, b), 0.0);
+  EXPECT_EQ(plan_ns(c, g, h, BandPlan::column, true, b),
+            plan_ns(c, g, h, BandPlan::row, true, b));
+}
+
+TEST(Bfs2dPlan, ColumnPlanSavesLessBeforeTopDownThanTheRebuildItCauses) {
+  // Before a top-down level the column plan can undercut the row plan
+  // (one rank per node, flat collectives), but it leaves the row replicas
+  // stale, and the next td -> bu switch rebuilds them with a raw row
+  // allgather. At physical alpha, where the 2-D benches run, that rebuild
+  // costs more than the column plan saves on a top-down level of raw
+  // pieces, over every shape where both plans may run and each hierarchy
+  // level. (Under paper scaling the wire is bandwidth-bound and, at one
+  // rank per node, the saving exceeds the rebuild: ROADMAP's plan item.)
+  using rt::coll_model::HierLevel;
+  constexpr std::uint64_t kN = 1ull << 20;
+  int checked = 0, column_cheaper = 0;
+  for (const auto& [nodes, ppn] : plan_shapes()) {
+    const Grid2d g = Grid2d::make(kN, nodes * ppn, ppn);
+    if (g.rows() == 1 || g.cols() % g.rows() != 0) continue;
+    const std::uint64_t b = g.piece_bits() / 8;
+    rt::Cluster c(sim::Topology::xeon_x7550_cluster(nodes), sim::CostParams{},
+                  ppn);
+    for (HierLevel h : {HierLevel::flat, HierLevel::node, HierLevel::socket}) {
+      SCOPED_TRACE(std::to_string(nodes) + "x" + std::to_string(ppn) + " " +
+                   rt::coll_model::to_string(h));
+      const double column = plan_ns(c, g, h, BandPlan::column, false, b);
+      const double row = plan_ns(c, g, h, BandPlan::row, true, b);
+      const double rebuild =
+          plan_ns(c, g, h, BandPlan::column, true, b) - column;
+      EXPECT_LT(row - column, rebuild);
+      column_cheaper += column < row;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(column_cheaper, 0);  // the case the rule gives up
+}
+
+TEST(Bfs2dPlan, BandSenderIsThePieceTransposePartnerAndHoldsTheBand) {
+  std::vector<Grid2d> grids;
+  for (const auto& [nodes, ppn] : plan_shapes())
+    grids.push_back(Grid2d::make(1 << 16, nodes * ppn, ppn));
+  for (const auto& [r, cc] : {std::pair{2, 4}, {4, 4}, {3, 6}, {1, 5}})
+    grids.emplace_back(1 << 12, r, cc);
+  int checked = 0;
+  for (const Grid2d& g : grids) {
+    if (g.cols() % g.rows() != 0) continue;
+    for (int q = 0; q < g.np(); ++q) {
+      const int s = g.transpose_partner(q);
+      // q assembles the partner's piece in the piece transpose...
+      EXPECT_EQ(g.transpose_dest(s), q);
+      // ...and the partner's row band holds q's whole col band.
+      const std::uint64_t cb = g.colband_begin(g.col_of(q));
+      const std::uint64_t rb = g.band_begin(g.row_of(s));
+      EXPECT_LE(rb, cb);
+      EXPECT_LE(cb + g.colband_bits(), rb + g.band_bits());
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(Bfs2dPlan, WeakTwoDShapePicksTheRowPlanInBothDirections) {
+  // weak_2d: 256 nodes x 4, a 32 x 32 grid over 2^18 vertices (32-byte
+  // pieces), node-aware collectives at physical alpha. A row spans 8 nodes
+  // and a column 32, so a row allgather plus one band-sized transpose
+  // undercuts the piece transpose plus the column allgather.
+  rt::Cluster c(sim::Topology::xeon_x7550_cluster(256), sim::CostParams{}, 4);
+  const Grid2d g = Grid2d::make(1 << 18, 1024, 4);
+  ASSERT_EQ(g.rows(), 32);
+  ASSERT_EQ(g.cols(), 32);
+  ASSERT_EQ(g.piece_bits() / 8, 32u);
+  const auto h = rt::coll_model::HierLevel::node;
+  for (int next_dir : {0, 1}) {
+    EXPECT_EQ(pick_plan(g, next_dir, true, false), BandPlan::row)
+        << "next " << next_dir;
+    // The column plan runs the row leg too before a bottom-up level.
+    EXPECT_LT(plan_ns(c, g, h, BandPlan::row, true, 32),
+              plan_ns(c, g, h, BandPlan::column, next_dir == 1, 32))
+        << "next " << next_dir;
+  }
 }
 
 // --- validation matrix: shape x direction x codec x hier ----------------
@@ -322,6 +460,17 @@ TEST(Bfs2dFaults, SurvivesSingleRankCrash) {
   EXPECT_GT(res.profile_avg.counters().adoptions, 0u);
   // The rolled-back level re-runs: the wall clock exceeds the healthy run.
   EXPECT_GT(res.time_ns, base.time_ns);
+  // The healthy run takes the row plan; the rollback rebuilds the crashed
+  // level's inputs by the column plan, and with a rank dead every later
+  // level keeps it.
+  const auto row = static_cast<int>(BandPlan::row);
+  EXPECT_TRUE(
+      std::any_of(base.trace.begin(), base.trace.end(),
+                  [&](const Level2dTrace& t) { return t.plan == row; }));
+  ASSERT_GT(res.trace.size(), 2u);
+  for (std::size_t i = 2; i < res.trace.size(); ++i)
+    EXPECT_EQ(res.trace[i].plan, static_cast<int>(BandPlan::column))
+        << "level " << i;
 }
 
 TEST(Bfs2dFaults, RefusesCrashPlanWithoutCheckpointing) {

@@ -1,25 +1,31 @@
 /// Property tests pinning the 2-D decomposition's communication-volume laws
 /// (DESIGN.md §13). The byte counts in Level2dTrace are exact functions of
-/// the grid shape, so any regression in the transpose/expand/fold/return
-/// paths shows up as a broken conservation law rather than a flaky
-/// perf number:
-///   - expand (column allgather) raw bytes  == np * (R-1) * piece_bytes
-///     on EVERY level — per-rank volume O(n/C), the term that beats the
-///     1-D allgather's O(n);
-///   - claim-return (row allgather) raw     == np * (C-1) * piece_bytes
-///     on every level followed by a bottom-up level, else 0;
-///   - transpose raw == piece_bytes * (np - #fixed points of the
-///     transpose map) on every level;
+/// the grid shape and of the plan that built each level's inputs, so any
+/// regression in the transpose/expand/fold/row paths shows up as a broken
+/// conservation law rather than a flaky perf number:
+///   - level 0's inputs are seeded locally: no plan, no input bytes;
+///   - a column-plan level: expand (column allgather) raw bytes ==
+///     np * (R-1) * piece_bytes — per-rank volume O(n/C), the term that
+///     beats the 1-D allgather's O(n) — transpose raw == piece_bytes *
+///     (np - #fixed points of the transpose map), and row raw ==
+///     np * (C-1) * piece_bytes when the level is bottom-up, else 0;
+///   - a row-plan level (only when C % R == 0): transpose raw == R *
+///     piece_bytes * (np - #fixed points) — each rank's whole col band from
+///     its transpose partner — expand raw == 0, and row raw ==
+///     np * (C-1) * piece_bytes;
 ///   - with the codec off, wire == raw on every leg.
 /// And the cross-shape invariant: nf/mf/rem are global allreduced sums, so
 /// the direction history — hence visited set, level count, and parents'
-/// validity — cannot depend on the grid shape, the codec, or the
-/// collective hierarchy.
+/// validity — cannot depend on the grid shape, the codec, the collective
+/// hierarchy, or the plans.
 
 #include "bfs2d/bfs2d.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "bfs2d/exchange2d.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "numasim/topology.hpp"
@@ -53,33 +59,52 @@ struct Shape {
   int nodes, ppn, rows, cols;
 };
 
-// Grid shapes spanning square, wide, tall, and multi-node rows.
+// Grid shapes spanning square, wide, tall, and multi-node rows. Where
+// C % R == 0 every level after the first takes the row plan, elsewhere
+// the column plan.
 const Shape kShapes[] = {
     {4, 4, 4, 4},   // square, rows span one node
     {2, 4, 2, 4},   // wide
-    {4, 2, 4, 2},   // tall (C == ppn)
+    {4, 2, 4, 2},   // tall (C == ppn): the column plan only
     {4, 4, 2, 8},   // wide, rows span two nodes
+    {16, 1, 4, 4},  // square, one rank per node: every band crosses nodes
 };
 
 void check_volume_laws(const Bfs2dResult& r, const Grid2d& g,
                        bool codec_off) {
   const std::uint64_t piece_bytes = g.piece_bits() / 8;
   const std::uint64_t np = static_cast<std::uint64_t>(g.np());
-  const std::uint64_t expand_law =
-      np * static_cast<std::uint64_t>(g.rows() - 1) * piece_bytes;
-  const std::uint64_t return_law =
-      np * static_cast<std::uint64_t>(g.cols() - 1) * piece_bytes;
-  const std::uint64_t transpose_law =
-      piece_bytes *
-      (np - static_cast<std::uint64_t>(transpose_fixed_points(g)));
+  const auto R = static_cast<std::uint64_t>(g.rows());
+  const auto C = static_cast<std::uint64_t>(g.cols());
+  const std::uint64_t movers =
+      np - static_cast<std::uint64_t>(transpose_fixed_points(g));
   for (size_t i = 0; i < r.trace.size(); ++i) {
     const Level2dTrace& lt = r.trace[i];
     SCOPED_TRACE("level " + std::to_string(lt.level));
-    EXPECT_EQ(lt.expand_raw_bytes, expand_law);
-    EXPECT_EQ(lt.transpose_raw_bytes, transpose_law);
-    // The claim return runs exactly when the NEXT level is bottom-up.
-    const bool next_bu = i + 1 < r.trace.size() && r.trace[i + 1].direction == 1;
-    EXPECT_EQ(lt.return_raw_bytes, next_bu ? return_law : 0u);
+    if (i == 0) {
+      // The root seeds level 0's inputs: no plan, no gate, no input bytes.
+      EXPECT_EQ(lt.plan, -1);
+      EXPECT_EQ(lt.expand_codec, -1);
+      EXPECT_EQ(lt.transpose_wire_bytes + lt.expand_wire_bytes +
+                    lt.return_wire_bytes,
+                0u);
+      EXPECT_EQ(lt.transpose_raw_bytes + lt.expand_raw_bytes +
+                    lt.return_raw_bytes,
+                0u);
+    } else if (lt.plan == static_cast<int>(BandPlan::row)) {
+      EXPECT_EQ(C % R, 0u);
+      EXPECT_EQ(lt.transpose_raw_bytes, movers * R * piece_bytes);
+      EXPECT_EQ(lt.expand_raw_bytes, 0u);
+      EXPECT_EQ(lt.return_raw_bytes, np * (C - 1) * piece_bytes);
+    } else {
+      EXPECT_EQ(lt.plan, static_cast<int>(BandPlan::column));
+      EXPECT_EQ(lt.transpose_raw_bytes, movers * piece_bytes);
+      EXPECT_EQ(lt.expand_raw_bytes, np * (R - 1) * piece_bytes);
+      // The row allgather (or the replica rebuild) runs exactly when the
+      // level is bottom-up.
+      EXPECT_EQ(lt.return_raw_bytes,
+                lt.direction == 1 ? np * (C - 1) * piece_bytes : 0u);
+    }
     if (codec_off) {
       EXPECT_EQ(lt.expand_wire_bytes, lt.expand_raw_bytes);
       EXPECT_EQ(lt.transpose_wire_bytes, lt.transpose_raw_bytes);
@@ -128,12 +153,27 @@ TEST(Bfs2dVolume, PerRankExpandShrinksWithTheColumnCount) {
   EXPECT_LT(per_rank_wide, per_rank_tall);
   const std::uint64_t one_d = (16 - 1) * (tall.padded() / 16) / 8;
   EXPECT_LT(per_rank_wide, one_d);
-  // And the measured trace agrees with the closed form.
+  // And the measured trace agrees with the closed form on every level
+  // after the first (level 0's inputs are seeded without an exchange).
+  // Either plan lands R pieces per rank: the column plan R-1 of them by
+  // the expand (the closed form) and one by the piece transpose, the row
+  // plan all R by the band transpose to every rank that is not its own
+  // transpose partner.
   rt::Cluster c(sim::Topology::xeon_x7550_cluster(4), sim::CostParams{}, 4);
   const DistGraph2d d = DistGraph2d::build(g, wide);
   const Bfs2dResult r = run_bfs_2d(c, d, first_root(g));
-  ASSERT_FALSE(r.trace.empty());
-  EXPECT_EQ(r.trace[0].expand_raw_bytes / 16, per_rank_wide);
+  ASSERT_GT(r.trace.size(), 1u);
+  const auto movers =
+      static_cast<std::uint64_t>(16 - transpose_fixed_points(wide));
+  for (std::size_t i = 1; i < r.trace.size(); ++i) {
+    const Level2dTrace& lt = r.trace[i];
+    SCOPED_TRACE("level " + std::to_string(i));
+    if (lt.plan == static_cast<int>(BandPlan::column))
+      EXPECT_EQ(lt.expand_raw_bytes / 16, per_rank_wide);
+    else
+      EXPECT_EQ(lt.transpose_raw_bytes / movers,
+                per_rank_wide + wide.piece_bits() / 8);
+  }
 }
 
 TEST(Bfs2dInvariance, ResultsIdenticalAcrossShapesCodecAndHierarchy) {
@@ -144,6 +184,8 @@ TEST(Bfs2dInvariance, ResultsIdenticalAcrossShapesCodecAndHierarchy) {
   std::vector<int> ref_directions;
   std::uint64_t ref_visited = 0;
   bool have_ref = false;
+  // (plan, C % R == 0) of every level after the first, over all runs.
+  std::set<std::pair<int, bool>> plans;
 
   for (const Shape& s : kShapes) {
     const Grid2d grid(g.num_vertices(), s.rows, s.cols);
@@ -163,6 +205,8 @@ TEST(Bfs2dInvariance, ResultsIdenticalAcrossShapesCodecAndHierarchy) {
       const Bfs2dResult r = run_bfs_2d(c, d, root, &parent, o);
       const auto v = graph::validate_bfs_tree(g, root, parent);
       ASSERT_TRUE(v.ok) << v.error;
+      for (std::size_t i = 1; i < r.trace.size(); ++i)
+        plans.emplace(r.trace[i].plan, s.cols % s.rows == 0);
       if (!have_ref) {
         ref_parent = parent;
         ref_directions = r.directions;
@@ -183,6 +227,14 @@ TEST(Bfs2dInvariance, ResultsIdenticalAcrossShapesCodecAndHierarchy) {
       EXPECT_EQ(parent, ref_parent);
     }
   }
+  // The shapes cover both plans: the row plan wherever it can run, the
+  // column plan where it cannot.
+  const int row = static_cast<int>(BandPlan::row);
+  const int column = static_cast<int>(BandPlan::column);
+  EXPECT_TRUE(plans.count({row, true}));
+  EXPECT_FALSE(plans.count({row, false}));
+  EXPECT_TRUE(plans.count({column, false}));
+  EXPECT_FALSE(plans.count({column, true}));
 }
 
 TEST(Bfs2dInvariance, ForcedCodecsKeepTheRawEquivalentLaw) {
@@ -193,16 +245,32 @@ TEST(Bfs2dInvariance, ForcedCodecsKeepTheRawEquivalentLaw) {
   const Grid2d grid(g.num_vertices(), 4, 4);
   const DistGraph2d d = DistGraph2d::build(g, grid);
   rt::Cluster c(sim::Topology::xeon_x7550_cluster(4), sim::CostParams{}, 4);
-  const std::uint64_t expand_law = static_cast<std::uint64_t>(grid.np()) *
-                                   (grid.rows() - 1) * grid.piece_bits() / 8;
+  const std::uint64_t piece_bytes = grid.piece_bits() / 8;
+  const auto np = static_cast<std::uint64_t>(grid.np());
+  const std::uint64_t expand_law = np * (grid.rows() - 1) * piece_bytes;
+  const std::uint64_t band_law =
+      (np - static_cast<std::uint64_t>(transpose_fixed_points(grid))) *
+      grid.rows() * piece_bytes;
+  const std::uint64_t row_law = np * (grid.cols() - 1) * piece_bytes;
   for (bfs::CodecMode m :
        {bfs::CodecMode::force_sparse, bfs::CodecMode::force_dense}) {
     Bfs2dOptions o;
     o.codec = m;
     const Bfs2dResult r = run_bfs_2d(c, d, first_root(g), nullptr, o);
-    for (const Level2dTrace& lt : r.trace) {
-      EXPECT_EQ(lt.expand_raw_bytes, expand_law);
-      EXPECT_GT(lt.expand_wire_bytes, 0u);
+    ASSERT_GT(r.trace.size(), 1u);
+    // Level 0's inputs are seeded locally; every later level's ride coded.
+    for (std::size_t i = 1; i < r.trace.size(); ++i) {
+      const Level2dTrace& lt = r.trace[i];
+      SCOPED_TRACE("level " + std::to_string(i));
+      if (lt.plan == static_cast<int>(BandPlan::row)) {
+        EXPECT_EQ(lt.transpose_raw_bytes, band_law);
+        EXPECT_GT(lt.transpose_wire_bytes, 0u);
+        EXPECT_EQ(lt.return_raw_bytes, row_law);
+        EXPECT_GT(lt.return_wire_bytes, 0u);
+      } else {
+        EXPECT_EQ(lt.expand_raw_bytes, expand_law);
+        EXPECT_GT(lt.expand_wire_bytes, 0u);
+      }
     }
   }
 }

@@ -1,9 +1,9 @@
 // Pins the exact virtual time of every frontier exchange: the 1-D bitmap
 // and list exchanges, the MS-BFS wave, two frontier programs (SSSP and
-// components) and the 2-D expand, fold and claim-return legs. Each runs
-// over the sharing ladder, the parallel allgather and the gated codec,
-// fault-free, under a link-degrade window and across a rank crash. On the
-// parallel plan the crash switches the exchange to the degraded leader plan.
+// components) and the 2-D input and fold legs. Each runs over the sharing
+// ladder, the parallel allgather and the gated codec, fault-free, under a
+// link-degrade window and across a rank crash. On the parallel plan the
+// crash switches the exchange to the degraded leader plan.
 //
 // Each digest folds the run's virtual time, the time of every phase, the
 // decode-overlap saving and the three byte counters, so any change to a
@@ -14,9 +14,11 @@
 // flat recursive doubling and a node-aware dissemination
 // (coll_model::allreduce_ns); under the paper scaling these runs use, that
 // is the flat one. Over these runs' two nodes every two-port schedule of
-// the 2-D collectives is one round of one message, equal to the
-// single-port form it replaced, so those schedules left the digests as
-// they were.
+// the 2-D collectives is one round of one message, so a last test pins a
+// 16-node shape at physical alpha, where they run several rounds. The 2-D
+// digests were recorded with level 0's inputs seeded from the root and
+// every later level's built by the row plan wherever it can run (the
+// column plan otherwise, and after the crash), under one gate.
 
 #include <gtest/gtest.h>
 
@@ -213,9 +215,9 @@ constexpr std::uint64_t kWant[5][3][7] = {
     },
     // Bfs2d
     {
-     {0x31fe2f4be0f5a0d4ull, 0x46e976d6d845451bull, 0xa425c3bc5ae7ce8bull},
-     {0xaf3f4a06836bb4d3ull, 0x1ab2b3737407c26dull, 0xc6cbc72bd6d84c69ull},
-     {0x6c7b8cf0ac355fdaull, 0xb4f3ff2c21729360ull, 0xfd2d65cf3df12c49ull},
+     {0x18b08469e0eb31b5ull, 0x931acae7bf04bfdbull, 0x7c9ad3ac84b0e043ull},
+     {0x044214c9f28a0c3cull, 0x77d67808e7f65ad8ull, 0x55cc0bbe12bcf702ull},
+     {0x451a16832d5ea82full, 0x3063073c19bc61e4ull, 0x833ef8380686775aull},
     },
 };
 
@@ -281,6 +283,44 @@ INSTANTIATE_TEST_SUITE_P(
                           Driver::components, Driver::bfs_2d),
         ::testing::Range(0, static_cast<int>(std::size(kFaults)))),
     pin_name);
+
+/// Digests of the multi-round shape below: 1-D share_all, then 2-D hier.
+constexpr std::uint64_t kWantWide[2] = {0x194d4ba5d55acd73ull,
+                                         0x56b47829c8c1850aull};
+
+TEST(ExchangePins, MultiRoundShapeIsUnchanged) {
+  // 16 nodes x 4 at physical alpha: the world reduction is the node-aware
+  // dissemination over 16 leaders (three two-port rounds), and the 8 x 8
+  // grid's 8-node columns and 2-node rows run the two-port Bruck
+  // concatenation and index exchange for more than one round.
+  harness::ExperimentOptions opt;
+  opt.nodes = 16;
+  opt.ppn = kPpn;
+  opt.paper_cache_scaling = false;
+  harness::Experiment e(bundle(), opt);
+  const harness::GraphBundle& b = e.bundle();
+
+  std::string what_1d;
+  const auto r1 = e.run_validated(bfs::share_all(), b.roots[0]).first;
+  const std::uint64_t got_1d = digest(r1.time_ns, r1.profile_avg, what_1d);
+  EXPECT_EQ(got_1d, kWantWide[0])
+      << "Bfs1d/share_all/16x4 digest 0x" << std::hex << got_1d
+      << "ull:" << what_1d;
+
+  const auto grid = bfs2d::Grid2d::make(b.csr.num_vertices(),
+                                        e.cluster().nranks(), kPpn);
+  ASSERT_EQ(grid.rows(), 8);
+  ASSERT_EQ(grid.cols(), 8);
+  const auto d2 = bfs2d::DistGraph2d::build(b.csr, grid);
+  bfs2d::Bfs2dOptions hier;
+  hier.hier = rt::coll_model::HierLevel::node;
+  const auto r2 = bfs2d::run_bfs_2d(e.cluster(), d2, b.roots[0], nullptr, hier);
+  std::string what_2d;
+  const std::uint64_t got_2d = digest(r2.time_ns, r2.profile_avg, what_2d);
+  EXPECT_EQ(got_2d, kWantWide[1])
+      << "Bfs2d/hier/16x4 digest 0x" << std::hex << got_2d
+      << "ull:" << what_2d;
+}
 
 }  // namespace
 }  // namespace numabfs

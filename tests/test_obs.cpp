@@ -223,12 +223,16 @@ TEST(ObsHybrid, TimeSpansCoverAtLeast95PercentPerRank) {
 
 TEST(Obs2d, TracingOnOffIsBitIdentical) {
   // Parity with the 1-D invariant: the tracer reads clocks on every 2-D
-  // phase (transpose/expand, scan, fold, claim return) without moving them.
-  // Two shapes: 2 nodes x 4, and 64 nodes x 1 at physical alpha, whose
-  // 8-node rows take the Bruck index exchange on small folds.
+  // phase (input legs, scan, fold) without moving them. Three shapes:
+  // 2 nodes x 4; 64 nodes x 1 at physical alpha, whose 8-node rows take
+  // the Bruck index exchange on small folds; and 2 nodes x 1. Between them
+  // the levels' inputs ride both plans: the row plan on the 2 x 4 and
+  // 8 x 8 grids, the column plan on the 1 x 2 grid, whose col bands are
+  // each rank's own piece.
   ExperimentOptions wide = shape(64, 1);
   wide.paper_cache_scaling = false;
-  for (const ExperimentOptions& opt : {shape(2, 4), wide}) {
+  int plan_spans[2] = {0, 0};  // column, row; over all shapes
+  for (const ExperimentOptions& opt : {shape(2, 4), wide, shape(2, 1)}) {
     Experiment e(bundle12(), opt);
     const auto& g = bundle12().csr;
     const bfs2d::Grid2d grid =
@@ -273,11 +277,33 @@ TEST(Obs2d, TracingOnOffIsBitIdentical) {
       if (!ev.is_span() && ev.name == "codec.gate") ++gates;
     }
     EXPECT_EQ(levels, on.levels);
-    // Bootstrap build_inputs + one per exchange; the last level never
-    // exchanges (nf == 0 ends the loop), so gates fire levels - 1 times.
-    EXPECT_EQ(expands, on.levels);
+    // One input build per exchange: level 0's inputs are seeded locally and
+    // the last level never exchanges (nf == 0 ends the loop), so expands
+    // and gates fire levels - 1 times.
+    EXPECT_EQ(expands, on.levels - 1);
     EXPECT_EQ(folds, on.levels);
     EXPECT_EQ(gates, on.levels - 1);
+    // Every level but the last names exactly one plan for the next level's
+    // inputs, on every rank, and the level records agree.
+    for (int r = 0; r < e.cluster().nranks(); ++r) {
+      int named = 0;
+      for (const auto& ev : tr->track(r)) {
+        if (!ev.is_span() || ev.name != "2d.expand") continue;
+        const bool column =
+            ev.args.find("\"plan\":\"column\"") != std::string::npos;
+        const bool row =
+            ev.args.find("\"plan\":\"row\"") != std::string::npos;
+        EXPECT_NE(column, row) << ev.args;
+        EXPECT_NE(ev.args.find("\"wire_bytes\":"), std::string::npos);
+        if (r == 0) ++plan_spans[row ? 1 : 0];
+        ++named;
+      }
+      EXPECT_EQ(named, on.levels - 1) << "rank " << r;
+    }
+    ASSERT_FALSE(on.trace.empty());
+    EXPECT_EQ(on.trace[0].plan, -1);
+    for (std::size_t i = 1; i < on.trace.size(); ++i)
+      EXPECT_TRUE(on.trace[i].plan == 0 || on.trace[i].plan == 1);
     // Every fold names the schedule its row exchange was charged with; a
     // one-node row never leaves the node, so it is always direct.
     int direct = 0, bruck = 0;
@@ -298,6 +324,8 @@ TEST(Obs2d, TracingOnOffIsBitIdentical) {
     else
       EXPECT_GT(bruck, 0);
   }
+  EXPECT_GT(plan_spans[0], 0);
+  EXPECT_GT(plan_spans[1], 0);
 }
 
 // ---------------------------------------------------------------------------

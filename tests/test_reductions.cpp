@@ -1,8 +1,9 @@
 // The world reductions a traversal pays, as a checked property. The design
 // predicts, per rank: one for the root set-up, one per level (the level
 // loop's stats reduction, whatever words the traversal fills) and one per
-// presence exchange. A codec-gated 1-D or 2-D run adds at most one trial
-// reduction per gated bitmap leg; the list exchanges add none.
+// presence exchange. A codec-gated 1-D run adds at most one trial
+// reduction per gated bitmap leg, a 2-D run at most one per exchange (one
+// gate covers all its legs); the list exchanges add none.
 // sim::Counters::reductions counts one per rt::allreduce per rank, and the
 // run's profile_avg sums it over ranks.
 
@@ -110,12 +111,12 @@ TEST(Reductions, GatedRunsAddAtMostOneTrialPerBitmapLeg) {
   coded.exchange_chunks = 4;
   const auto r2 = bfs2d::run_bfs_2d(e.cluster(), d2, bundle().roots[0],
                                     nullptr, coded);
-  // Gated legs: an expand per level (the bootstrap's and one per exchange)
-  // and at most one claim-return per exchange.
+  // One gate per exchange covers every leg the frontier pieces ride; level
+  // 0's inputs are seeded without one, and the last level never exchanges.
   const std::uint64_t base2 = 1 + levels(r2.levels);
   EXPECT_GE(reductions(r2.profile_avg), kRanks * base2);
   EXPECT_LE(reductions(r2.profile_avg),
-            kRanks * (base2 + levels(r2.levels) + levels(r2.levels) - 1));
+            kRanks * (base2 + levels(r2.levels) - 1));
   EXPECT_EQ(reductions(r2.profile_avg) % kRanks, 0u);
 }
 
