@@ -1,16 +1,17 @@
 /// Kernel microbenchmarks (google-benchmark): the host-side primitives the
 /// simulator's wall-clock depends on — bitmap scans, summary rebuilds,
 /// copy_bits assembly, R-MAT generation, CSR construction, the 1-D slice
-/// and 2-D block builds, and the world reduction every level pays. These
-/// measure *host* time (not virtual time); they guard against performance
-/// regressions in the simulator itself. ctest runs every one briefly as
-/// `smoke_bench_kernels`.
+/// and 2-D block builds, the world reduction every level pays, and the
+/// dynamic layer's snapshot pin and compaction. These measure *host* time
+/// (not virtual time); they guard against performance regressions in the
+/// simulator itself. ctest runs every one briefly as `smoke_bench_kernels`.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "graph/codec.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
+#include "graph/dynamic/ingest.hpp"
+#include "graph/dynamic/snapshot.hpp"
 #include "graph/partition.hpp"
 #include "graph/rmat.hpp"
 #include "graph/summary.hpp"
@@ -271,6 +274,69 @@ void BM_WorldAllreduce(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldAllreduce)->Arg(8)->Arg(256)->UseManualTime()->Unit(
     benchmark::kMicrosecond);
+
+RmatParams dyn_params() {
+  RmatParams p;
+  p.scale = 14;
+  return p;
+}
+
+numabfs::dyn::IngestConfig dyn_ingest() {
+  numabfs::dyn::IngestConfig ic;
+  ic.base = dyn_params();
+  return ic;
+}
+
+/// A snapshot manager over a canonical scale-14 base on 2 nodes x 4 (8
+/// ranks), and the ingest stream that fills its delta stores.
+struct DynWorld {
+  numabfs::rt::Cluster cluster{numabfs::sim::Topology::xeon_x7550_cluster(2),
+                               numabfs::sim::CostParams{}, 4};
+  numabfs::dyn::SnapshotManager mgr{
+      cluster,
+      Csr::from_edges(dyn_params().num_vertices(), rmat_edges(dyn_params()),
+                      EdgePolicy::sorted_dedup),
+      Partition1D(dyn_params().num_vertices(), cluster.nranks())};
+  numabfs::dyn::IngestGenerator gen{dyn_ingest()};
+
+  /// Seal epochs of 1000 ops until the live deltas reach `fill` of the
+  /// base's directed edges.
+  void fill_to(double fill) {
+    while (mgr.fill() < fill) mgr.ingest(gen.next_batch(1000));
+  }
+};
+
+/// Host time of a fresh pin at about 5% fill: the view is dropped every
+/// iteration, so the next pin rebuilds it instead of reusing it.
+void BM_SnapshotPin(benchmark::State& state) {
+  DynWorld w;
+  w.fill_to(0.05);
+  for (auto _ : state) {
+    auto snap = w.mgr.pin(w.mgr.epoch());
+    benchmark::DoNotOptimize(snap->patched_rows);
+    snap.reset();
+  }
+}
+BENCHMARK(BM_SnapshotPin)->Unit(benchmark::kMillisecond);
+
+/// Host time of one compaction at about 5% fill (the canonical rebuild and
+/// the new base's slices). Every iteration compacts an untimed copy of the
+/// same manager, so the graph does not grow from one to the next.
+void BM_SnapshotCompact(benchmark::State& state) {
+  DynWorld w;
+  w.fill_to(0.05);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto mgr = std::make_unique<numabfs::dyn::SnapshotManager>(w.mgr);
+    state.ResumeTiming();
+    const auto cs = mgr->compact();
+    benchmark::DoNotOptimize(cs.bytes_merged);
+    state.PauseTiming();
+    mgr.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_SnapshotCompact)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace numabfs::graph {
 
@@ -46,6 +47,27 @@ Csr Csr::from_edges(std::uint64_t num_vertices, std::span<const Edge> edges,
   new_offsets[num_vertices] = w;
   g.adj_.resize(w);
   g.offsets_ = std::move(new_offsets);
+  return g;
+}
+
+Csr Csr::from_canonical_rows(std::vector<std::uint64_t> offsets,
+                             std::vector<Vertex> adj) {
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != adj.size())
+    throw std::invalid_argument(
+        "Csr::from_canonical_rows: offsets must run from 0 to adj.size()");
+  const std::uint64_t n = offsets.size() - 1;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    if (offsets[v + 1] < offsets[v])
+      throw std::invalid_argument(
+          "Csr::from_canonical_rows: offsets must be nondecreasing");
+    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i)
+      assert(adj[i] < n && adj[i] != v &&
+             (i == offsets[v] || adj[i - 1] < adj[i]));
+  }
+  Csr g;
+  g.n_ = n;
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adj);
   return g;
 }
 

@@ -38,6 +38,17 @@ class Csr {
   static Csr from_edges(std::uint64_t num_vertices, std::span<const Edge> edges,
                         EdgePolicy policy = EdgePolicy::keep_multiplicity);
 
+  /// Adopt rows that are already canonical — exactly what `sorted_dedup`
+  /// builds from their edge set — without re-sorting them: row v is
+  /// adj[offsets[v] .. offsets[v+1]), its entries below n, strictly
+  /// ascending and never v itself, and the rows are symmetric (u lists v
+  /// iff v lists u). The dynamic layer's rebuild passes the merged rows of
+  /// its epoch views. Throws std::invalid_argument when the offsets do not
+  /// run nondecreasing from 0 to adj.size(); the rows themselves are the
+  /// caller's contract (debug builds assert all but symmetry).
+  static Csr from_canonical_rows(std::vector<std::uint64_t> offsets,
+                                 std::vector<Vertex> adj);
+
   std::uint64_t num_vertices() const { return n_; }
   /// Directed adjacency entries stored (2x the undirected edge count).
   std::uint64_t num_directed_edges() const { return adj_.size(); }

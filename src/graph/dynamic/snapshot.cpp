@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "runtime/coll_model.hpp"
+#include "runtime/executor.hpp"
 
 namespace numabfs::dyn {
 
@@ -22,10 +23,10 @@ struct Override {
 };
 
 /// Collapse a rank's delta records at `epoch` to one override per distinct
-/// edge, in (owned, nbr) order. Records after `epoch` are invisible; the
-/// temporally last record at or before it wins.
-std::vector<Override> resolve_rank(const DeltaStore& st, std::uint64_t epoch) {
-  std::vector<Override> out;
+/// edge, in (owned, nbr) order, appended to `out`. Records after `epoch`
+/// are invisible; the temporally last record at or before it wins.
+void resolve_rank(const DeltaStore& st, std::uint64_t epoch,
+                  std::vector<Override>& out) {
   const auto recs = st.records();
   std::size_t i = 0;
   while (i < recs.size()) {
@@ -41,50 +42,92 @@ std::vector<Override> resolve_rank(const DeltaStore& st, std::uint64_t epoch) {
                      !recs[static_cast<std::size_t>(last)].tombstone});
     i = j;
   }
-  return out;
 }
 
 /// Sorted set-merge of one canonical base row with its overrides: present
-/// overrides insert, absent ones delete, everything else passes through.
-/// Both inputs are ascending and duplicate-free, so the output is the
-/// canonical row of the merged edge set.
+/// overrides insert, absent ones delete, and the base entries between them
+/// pass through as whole runs. Both inputs are ascending and
+/// duplicate-free, so the output is the canonical row of the merged edge
+/// set.
 void merge_row(std::span<const graph::Vertex> base,
                std::span<const Override> ovr,
                std::vector<graph::Vertex>& out) {
-  std::size_t bi = 0;
-  std::size_t oi = 0;
-  while (bi < base.size() || oi < ovr.size()) {
-    if (oi == ovr.size() || (bi < base.size() && base[bi] < ovr[oi].val)) {
-      out.push_back(base[bi++]);
-    } else if (bi == base.size() || ovr[oi].val < base[bi]) {
-      if (ovr[oi].present) out.push_back(ovr[oi].val);
-      ++oi;
-    } else {  // same endpoint: the override decides membership
-      if (ovr[oi].present) out.push_back(base[bi]);
-      ++bi;
-      ++oi;
+  auto it = base.begin();
+  for (const Override& o : ovr) {
+    const auto at = std::lower_bound(it, base.end(), o.val);
+    out.insert(out.end(), it, at);
+    it = at != base.end() && *at == o.val ? at + 1 : at;
+    if (o.present) out.push_back(o.val);
+  }
+  out.insert(out.end(), it, base.end());
+}
+
+/// One rank's share of a pin: its resolved overrides in both keyings, the
+/// counts the calling thread sizes the rank's merged view from, and what
+/// the view cost to build. Workers fill these; every buffer is allocated
+/// by the calling thread (see SnapshotManager::pin).
+struct RankPin {
+  std::vector<Override> ovr;  ///< (owned, nbr) order: bottom-up rows
+  std::vector<Override> tdo;  ///< (nbr, owned) order: top-down groups
+  std::uint64_t visible = 0;  ///< records at or before the epoch
+  std::uint64_t dirty = 0;    ///< distinct owned vertices among ovr
+  std::uint64_t bu_cap = 0;   ///< bound on the merged dirty rows' entries
+  std::uint64_t td_cap = 0;   ///< bound on the patched groups' entries
+  std::uint64_t patched_groups = 0;
+  double ns = 0;  ///< the rank's modeled pin work
+};
+
+/// First pass of a pin on rank `b`'s slice: count the records visible at
+/// `epoch`, resolve them, re-key the overrides by source for the top-down
+/// groups, and bound the merged view's patch storage.
+void resolve_pin(const DeltaStore& st, const graph::LocalGraph& b,
+                 std::uint64_t epoch, double probe_work_ns, RankPin& rp) {
+  for (const DeltaRec& rec : st.records())
+    if (rec.epoch <= epoch) ++rp.visible;
+  rp.ns = static_cast<double>(st.size()) * probe_work_ns;
+  resolve_rank(st, epoch, rp.ovr);
+  for (std::size_t i = 0; i < rp.ovr.size(); ++i) {
+    const Override& o = rp.ovr[i];
+    if (i == 0 || o.key != rp.ovr[i - 1].key) {
+      ++rp.dirty;
+      rp.bu_cap += b.degree(o.key - b.vbegin);
     }
+    if (o.present) ++rp.bu_cap;
+    rp.tdo.push_back({o.val, o.key, o.present});
+  }
+  std::sort(rp.tdo.begin(), rp.tdo.end(),
+            [](const Override& x, const Override& y) {
+              return x.key != y.key ? x.key < y.key : x.val < y.val;
+            });
+  // Both key lists ascend: one walk finds the base groups the overrides
+  // touch.
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < rp.tdo.size(); ++i) {
+    const Override& o = rp.tdo[i];
+    if (i == 0 || o.key != rp.tdo[i - 1].key) {
+      while (k < b.td_keys.size() && b.td_keys[k] < o.key) ++k;
+      if (k < b.td_keys.size() && b.td_keys[k] == o.key)
+        rp.td_cap += b.td_offsets[k + 1] - b.td_offsets[k];
+    }
+    if (o.present) ++rp.td_cap;
   }
 }
 
-/// Build one merged LocalGraph view over frozen slice `b` from the rank's
-/// resolved overrides (sorted by (key, val)). Returns the count of
-/// re-materialized top-down groups via `patched_groups`.
-void build_merged_local(const graph::LocalGraph& b,
-                        const std::vector<Override>& ovr,
-                        graph::LocalGraph& lg,
-                        std::uint64_t& patched_groups) {
+/// Second pass: materialize rank `b`'s merged view `lg` from its resolved
+/// overrides. `lg`'s bitmaps and patch offsets are sized, and its patch
+/// and group arrays reserved, from `rp`'s counts, so nothing here
+/// allocates.
+void build_merged_local(const graph::LocalGraph& b, RankPin& rp,
+                        graph::LocalGraph& lg, const sim::CostParams& cp) {
+  const std::vector<Override>& ovr = rp.ovr;
   lg.vbegin = b.vbegin;
   lg.vend = b.vend;
   lg.base = &b;
-  const std::uint64_t owned = b.owned();
-  const std::uint64_t words = (owned + 63) / 64;
-  lg.dirty_words.assign(words, 0);
+  const std::uint64_t words = lg.dirty_words.size();
   for (const Override& o : ovr) {
     const std::uint64_t lv = o.key - b.vbegin;
     lg.dirty_words[lv >> 6] |= 1ull << (lv & 63);
   }
-  lg.dirty_rank.assign(words, 0);
   std::uint64_t dirty = 0;
   for (std::uint64_t w = 0; w < words; ++w) {
     lg.dirty_rank[w] = dirty;
@@ -92,8 +135,6 @@ void build_merged_local(const graph::LocalGraph& b,
   }
 
   // Bottom-up patches: one merged row per dirty vertex, in vertex order.
-  lg.patch_offsets.assign(dirty + 1, 0);
-  lg.patch_adj.clear();
   std::uint64_t row = 0;
   std::uint64_t base_dirty_edges = 0;
   std::size_t oi = 0;
@@ -114,20 +155,11 @@ void build_merged_local(const graph::LocalGraph& b,
   lg.merged_owned_edges =
       b.bu_adj.size() - base_dirty_edges + lg.patch_adj.size();
 
-  // Top-down patches: re-key the overrides by source and merge the
-  // affected groups; untouched groups stay offset references into the base.
-  // Groups that merge to empty are dropped, so the merged td_keys equal a
-  // from-scratch rebuild's.
-  std::vector<Override> tdo;
-  tdo.reserve(ovr.size());
-  for (const Override& o : ovr) tdo.push_back({o.val, o.key, o.present});
-  std::sort(tdo.begin(), tdo.end(), [](const Override& a, const Override& b2) {
-    return a.key != b2.key ? a.key < b2.key : a.val < b2.val;
-  });
-
-  lg.td_keys.clear();
-  lg.td_refs.clear();
-  lg.patch_td_adj.clear();
+  // Top-down patches: merge the groups the re-keyed overrides touch;
+  // untouched groups stay offset references into the base. Groups that
+  // merge to empty are dropped, so the merged td_keys equal a from-scratch
+  // rebuild's.
+  const std::vector<Override>& tdo = rp.tdo;
   std::size_t k = 0;
   std::size_t t = 0;
   while (k < b.td_keys.size() || t < tdo.size()) {
@@ -158,10 +190,26 @@ void build_merged_local(const graph::LocalGraph& b,
     if (len != 0) {
       lg.td_keys.push_back(key);
       lg.td_refs.push_back({off, len, true});
-      ++patched_groups;
+      ++rp.patched_groups;
     }
   }
-  lg.td_offsets.clear();  // unused by the merged-view accessors
+
+  const double stream_words =
+      static_cast<double>(lg.patch_adj.size() + lg.patch_td_adj.size()) *
+          sizeof(graph::Vertex) / 8.0 +
+      static_cast<double>(words);
+  rp.ns = std::max(rp.ns, static_cast<double>(ovr.size()) * cp.probe_work_ns +
+                              stream_words * cp.stream_word_ns);
+}
+
+/// Run `body(r)` for every rank on the executor pool, one contiguous range
+/// of ranks per worker, as DistGraph::build does.
+template <class Body>
+void for_each_rank(int np, const Body& body) {
+  const int nw = std::min(np, rt::exec::max_workers());
+  rt::exec::run(nw, [&](int w) {
+    for (int r = np * w / nw; r < np * (w + 1) / nw; ++r) body(r);
+  });
 }
 
 /// A merged overlay plus the base generation its locals point into. The
@@ -293,64 +341,26 @@ IngestStats SnapshotManager::ingest(std::span<const EdgeOp> ops,
 
 std::shared_ptr<const Snapshot> SnapshotManager::pin(std::uint64_t epoch,
                                                      double now_ns) {
+  if (rt::exec::self() != nullptr)
+    throw std::logic_error(
+        "SnapshotManager::pin: called inside a rank; pins are host work on "
+        "the executor pool");
   if (epoch < base_->epoch || epoch > epoch_)
     throw std::out_of_range(
         "SnapshotManager::pin: epoch outside [base, current] — epochs below "
         "the base were compacted away");
-  const int np = part_.np();
-  const auto& cp = cluster_.params();
 
-  auto snap = std::make_shared<Snapshot>();
-  snap->epoch = epoch;
-  snap->base = base_;
-
-  std::vector<std::vector<Override>> ovr(static_cast<std::size_t>(np));
-  bool any = false;
-  double max_rank_ns = 0;
-  for (int r = 0; r < np; ++r) {
-    const DeltaStore& st = stores_[static_cast<std::size_t>(r)];
-    std::uint64_t visible = 0;
-    for (const DeltaRec& rec : st.records())
-      if (rec.epoch <= epoch) ++visible;
-    snap->deltas_applied += visible;
-    ovr[static_cast<std::size_t>(r)] = resolve_rank(st, epoch);
-    any = any || !ovr[static_cast<std::size_t>(r)].empty();
-    max_rank_ns = std::max(
-        max_rank_ns, static_cast<double>(st.size()) * cp.probe_work_ns);
-  }
-
-  if (!any) {
-    // Clean pin: the base itself is the view (no read amplification).
-    snap->graph = std::shared_ptr<const graph::DistGraph>(base_, &base_->dg);
-    snap->pin_ns = rt::coll_model::allreduce_ns(cluster_, cluster_.world());
+  std::shared_ptr<const Snapshot> snap = last_pin_.lock();
+  if (snap != nullptr && snap->epoch == epoch && snap->base == base_ &&
+      last_pin_sealed_ == epoch_) {
+    // The view a fresh build would make, still held: hand it out again,
+    // drained of its read counters as a fresh view starts.
+    for (const graph::LocalGraph& lg : snap->dg().locals)
+      (void)lg.take_patch_reads();
   } else {
-    auto mv = std::make_shared<MergedView>();
-    mv->base = base_;
-    graph::DistGraph& g = mv->dg;
-    g.n = base_->dg.n;
-    g.part = part_;
-    g.locals.resize(static_cast<std::size_t>(np));
-    std::uint64_t directed = 0;
-    for (int r = 0; r < np; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      build_merged_local(base_->dg.locals[ri], ovr[ri], g.locals[ri],
-                         snap->patched_groups);
-      directed += g.locals[ri].merged_owned_edges;
-      snap->patched_rows += g.locals[ri].patch_offsets.size() - 1;
-      const double words =
-          static_cast<double>(g.locals[ri].patch_adj.size() +
-                              g.locals[ri].patch_td_adj.size()) *
-              sizeof(graph::Vertex) / 8.0 +
-          static_cast<double>(g.locals[ri].dirty_words.size());
-      max_rank_ns = std::max(
-          max_rank_ns,
-          static_cast<double>(ovr[ri].size()) * cp.probe_work_ns +
-              words * cp.stream_word_ns);
-    }
-    g.directed_edges = directed;
-    snap->graph = std::shared_ptr<const graph::DistGraph>(std::move(mv), &g);
-    snap->pin_ns =
-        rt::coll_model::allreduce_ns(cluster_, cluster_.world()) + max_rank_ns;
+    snap = build_snapshot(epoch);
+    last_pin_ = snap;
+    last_pin_sealed_ = epoch_;
   }
 
   if (metrics_ != nullptr) metrics_->counter("dyn.pins").add(1);
@@ -363,32 +373,123 @@ std::shared_ptr<const Snapshot> SnapshotManager::pin(std::uint64_t epoch,
   return snap;
 }
 
+std::shared_ptr<const Snapshot> SnapshotManager::build_snapshot(
+    std::uint64_t epoch) const {
+  const int np = part_.np();
+  const auto& cp = cluster_.params();
+  const auto& locals = base_->dg.locals;
+
+  auto snap = std::make_shared<Snapshot>();
+  snap->epoch = epoch;
+  snap->base = base_;
+
+  // Every buffer a worker fills is allocated here, on the calling thread:
+  // memory allocated on a pool worker stays in that worker's malloc arena
+  // (see DistGraph::build). A rank resolves at most one override per
+  // record.
+  std::vector<RankPin> rp(static_cast<std::size_t>(np));
+  for (int r = 0; r < np; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    rp[ri].ovr.reserve(stores_[ri].size());
+    rp[ri].tdo.reserve(stores_[ri].size());
+  }
+  for_each_rank(np, [&](int r) {
+    const auto ri = static_cast<std::size_t>(r);
+    resolve_pin(stores_[ri], locals[ri], epoch, cp.probe_work_ns, rp[ri]);
+  });
+
+  bool any = false;
+  for (const RankPin& p : rp) {
+    snap->deltas_applied += p.visible;
+    any = any || !p.ovr.empty();
+  }
+  if (!any) {
+    // Clean pin: the base itself is the view (no read amplification).
+    snap->graph = std::shared_ptr<const graph::DistGraph>(base_, &base_->dg);
+    snap->pin_ns = rt::coll_model::allreduce_ns(cluster_, cluster_.world());
+    return snap;
+  }
+
+  auto mv = std::make_shared<MergedView>();
+  mv->base = base_;
+  graph::DistGraph& g = mv->dg;
+  g.n = base_->dg.n;
+  g.part = part_;
+  g.locals.resize(static_cast<std::size_t>(np));
+  for (int r = 0; r < np; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    const graph::LocalGraph& b = locals[ri];
+    graph::LocalGraph& lg = g.locals[ri];
+    const std::uint64_t words = (b.owned() + 63) / 64;
+    lg.dirty_words.assign(words, 0);
+    lg.dirty_rank.assign(words, 0);
+    lg.patch_offsets.assign(rp[ri].dirty + 1, 0);
+    lg.patch_adj.reserve(rp[ri].bu_cap);
+    lg.td_keys.reserve(b.td_keys.size() + rp[ri].tdo.size());
+    lg.td_refs.reserve(b.td_keys.size() + rp[ri].tdo.size());
+    lg.patch_td_adj.reserve(rp[ri].td_cap);
+  }
+  for_each_rank(np, [&](int r) {
+    const auto ri = static_cast<std::size_t>(r);
+    build_merged_local(locals[ri], rp[ri], g.locals[ri], cp);
+  });
+
+  // Per-rank outputs reduced in rank order.
+  std::uint64_t directed = 0;
+  double max_rank_ns = 0;
+  for (int r = 0; r < np; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    directed += g.locals[ri].merged_owned_edges;
+    snap->patched_rows += rp[ri].dirty;
+    snap->patched_groups += rp[ri].patched_groups;
+    max_rank_ns = std::max(max_rank_ns, rp[ri].ns);
+  }
+  g.directed_edges = directed;
+  snap->graph = std::shared_ptr<const graph::DistGraph>(std::move(mv), &g);
+  snap->pin_ns =
+      rt::coll_model::allreduce_ns(cluster_, cluster_.world()) + max_rank_ns;
+  return snap;
+}
+
 graph::Csr SnapshotManager::rebuild_csr(std::uint64_t epoch) const {
   if (epoch < base_->epoch || epoch > epoch_)
     throw std::out_of_range("SnapshotManager::rebuild_csr: epoch outside "
                             "[base, current]");
+  // The merged rows are the canonical rows of the epoch's edge set
+  // (sorted set-merges of canonical base rows; the routed records keep
+  // them symmetric), so the CSR adopts them as they are. Between two
+  // overridden vertices the base rows pass through unchanged, so each
+  // such run is copied whole.
   const graph::Csr& b = base_->csr;
-  const std::uint64_t n = b.num_vertices();
-  std::vector<graph::Edge> edges;
-  edges.reserve(b.num_directed_edges() / 2 + live_records());
-  std::vector<graph::Vertex> row;
+  const auto& boff = b.offsets();
+  const graph::Vertex* badj = b.adj().data();
+  std::vector<std::uint64_t> offsets(b.num_vertices() + 1, 0);
+  std::vector<graph::Vertex> adj;
+  adj.reserve(b.num_directed_edges() + live_records());
+  std::vector<Override> ovr;
   for (int r = 0; r < part_.np(); ++r) {
-    const auto ovr = resolve_rank(stores_[static_cast<std::size_t>(r)], epoch);
+    ovr.clear();
+    resolve_rank(stores_[static_cast<std::size_t>(r)], epoch, ovr);
+    const std::uint64_t end = part_.end(r);
+    std::uint64_t v = part_.begin(r);
     std::size_t oi = 0;
-    for (std::uint64_t v = part_.begin(r); v < part_.end(r); ++v) {
+    for (;;) {
+      const std::uint64_t dirty = oi < ovr.size() ? ovr[oi].key : end;
+      const std::uint64_t at = adj.size();
+      adj.insert(adj.end(), badj + boff[v], badj + boff[dirty]);
+      for (std::uint64_t u = v; u < dirty; ++u)
+        offsets[u + 1] = at + (boff[u + 1] - boff[v]);
+      if (dirty == end) break;
       std::size_t oj = oi;
-      while (oj < ovr.size() && ovr[oj].key == v) ++oj;
-      row.clear();
-      merge_row(b.neighbors(static_cast<graph::Vertex>(v)),
-                std::span<const Override>(ovr).subspan(oi, oj - oi), row);
+      while (oj < ovr.size() && ovr[oj].key == dirty) ++oj;
+      merge_row(b.neighbors(static_cast<graph::Vertex>(dirty)),
+                std::span<const Override>(ovr).subspan(oi, oj - oi), adj);
+      offsets[dirty + 1] = adj.size();
+      v = dirty + 1;
       oi = oj;
-      // Routed records cover every edge at both endpoints, so emitting the
-      // u < v half once reconstructs the undirected set exactly.
-      for (graph::Vertex nb : row)
-        if (v < nb) edges.push_back({static_cast<graph::Vertex>(v), nb});
     }
   }
-  return graph::Csr::from_edges(n, edges, graph::EdgePolicy::sorted_dedup);
+  return graph::Csr::from_canonical_rows(std::move(offsets), std::move(adj));
 }
 
 CompactionStats SnapshotManager::compact(double now_ns) {

@@ -12,11 +12,11 @@
 ///
 /// Determinism contract: the base CSR is canonical (rows sorted, parallel
 /// edges collapsed — EdgePolicy::sorted_dedup), merged rows are sorted
-/// set-merges of base ⊕ deltas, and rebuild_csr() produces the same
-/// canonical rows from scratch. A BFS over a pinned merged view is
-/// therefore bit-identical to one over the rebuilt CSR at that epoch; the
-/// only difference is the *measured* read amplification (delta probes) the
-/// merged view charges.
+/// set-merges of base ⊕ deltas, and rebuild_csr() adopts those same
+/// canonical rows as a CSR. A BFS over a pinned merged view is therefore
+/// bit-identical to one over the slices built from the rebuilt CSR at
+/// that epoch; the only difference is the *measured* read amplification
+/// (delta probes) the merged view charges.
 ///
 /// All costs are modeled in virtual time and returned to the caller (the
 /// serving driver decides which clock they land on); obs spans
@@ -120,15 +120,31 @@ class SnapshotManager {
   /// Pin an immutable view at `epoch` (base()->epoch <= epoch <= epoch()).
   /// Throws std::out_of_range outside that window (epochs older than the
   /// current base were compacted away).
+  ///
+  /// Reuse: while `epoch`, the latest sealed epoch and the base are all
+  /// unchanged since the last pin that built a view, and a caller still
+  /// holds that snapshot, pin returns the same object (its read counters
+  /// drained) instead of building it again. The manager holds it only
+  /// weakly, so a dropped snapshot is never kept alive, and the next pin
+  /// builds afresh. A reused snapshot carries the `pin_ns` its build
+  /// charged — exactly what a fresh build would charge — so reuse saves
+  /// host time only. `dyn.pins` and the `snapshot.pin` span fire on every
+  /// call.
+  ///
+  /// A fresh pin resolves and materializes the ranks' views on the
+  /// executor pool, so pin is host work: it throws std::logic_error when
+  /// called inside a rank (a `Cluster::run` body).
   std::shared_ptr<const Snapshot> pin(std::uint64_t epoch, double now_ns = 0);
 
   /// Fold every live delta into a new base at the current epoch and drop
   /// the folded records. Existing snapshots are unaffected.
   CompactionStats compact(double now_ns = 0);
 
-  /// From-scratch canonical CSR at `epoch` — the reference the property
-  /// tests compare merged views against, and the input of the 2-D path
-  /// (DistGraph2d::build consumes a Csr).
+  /// Canonical CSR at `epoch`: the base rows set-merged with the deltas
+  /// visible there, adopted as the CSR's rows without re-sorting. The
+  /// input of compaction and of the 2-D path (DistGraph2d::build consumes
+  /// a Csr), and the reference the validators check served answers
+  /// against.
   graph::Csr rebuild_csr(std::uint64_t epoch) const;
 
   const DeltaStore& store(int rank) const {
@@ -137,12 +153,19 @@ class SnapshotManager {
   std::uint64_t compactions() const { return compactions_; }
 
  private:
+  /// Build the view at `epoch` on the executor pool.
+  std::shared_ptr<const Snapshot> build_snapshot(std::uint64_t epoch) const;
+
   const rt::Cluster& cluster_;
   graph::Partition1D part_;
   std::shared_ptr<const BaseVersion> base_;
   std::vector<DeltaStore> stores_;
   std::uint64_t epoch_ = 0;
   std::uint64_t compactions_ = 0;
+  /// The last snapshot pin() built, and the sealed epoch it was built
+  /// under: the reuse key (with its own epoch and base).
+  std::weak_ptr<const Snapshot> last_pin_;
+  std::uint64_t last_pin_sealed_ = 0;
   obs::Tracer* tracer_;
   obs::Registry* metrics_;
 };

@@ -271,7 +271,9 @@ CollTimes hier_subgroup_allgather(const Cluster& c, int span_nodes,
   const auto& cp = c.params();
   const double factor = min_nic_factor(c);
 
-  if (level == HierLevel::flat) {
+  // A one-node subgroup has no inter-node phase for staging to combine
+  // messages for, so it runs the flat ring at every level.
+  if (level == HierLevel::flat || span_nodes <= 1) {
     // Ring over all members; each node injects one message per co-located
     // participant per step (per_node members x concurrency siblings).
     const int steps = members - 1;

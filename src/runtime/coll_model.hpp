@@ -156,7 +156,8 @@ const char* to_string(HierLevel h);
 /// share their NICs (the C columns of an R x C grid have per_node = 1 and
 /// concurrency = ppn; a row has per_node = ppn and concurrency = 1).
 /// flat: ring over all members, per-step latency scaled by the injection
-/// serialization above. node/socket: per-node staging, then the leaders
+/// serialization above; a one-node subgroup (span_nodes <= 1) takes this
+/// ring at every level. node/socket: per-node staging, then the leaders
 /// run a k-port Bruck concatenation of the combined
 /// per_node*concurrency*chunk node blocks: the blocks a leader holds
 /// multiply by k + 1 a round, the last round splitting the rest evenly

@@ -258,6 +258,142 @@ TEST(Snapshot, PinnedEpochSurvivesCompaction) {
   EXPECT_THROW((void)mgr.pin(e1 - 1), std::out_of_range);
 }
 
+/// Every bottom-up row of `dg`, in vertex order, as one flat list with a
+/// row-length prefix per vertex (what a rebuilt view must reproduce).
+std::vector<std::uint64_t> all_rows(const graph::DistGraph& dg) {
+  std::vector<std::uint64_t> out;
+  for (const auto& lg : dg.locals)
+    for (std::uint64_t lv = 0; lv < lg.owned(); ++lv) {
+      const auto row = lg.bu_neighbors(lv);
+      out.push_back(row.size());
+      out.insert(out.end(), row.begin(), row.end());
+    }
+  return out;
+}
+
+TEST(Snapshot, RepinOfAnUnchangedEpochReusesTheLiveView) {
+  const Cluster c = make_cluster();
+  const auto p = base_params();
+  Partition1D part(p.num_vertices(), c.nranks());
+  obs::Registry reg;
+  SnapshotManager mgr(c, base_csr(), part, nullptr, &reg);
+  ingest_epochs(mgr, 3, 600);
+  const std::uint64_t e = mgr.epoch();
+
+  // Held: a repin of the same epoch, sealed epoch and base is the same
+  // object with the same cost, and still counts as a pin.
+  auto held = mgr.pin(e);
+  ASSERT_GT(held->patched_rows, 0u);
+  auto again = mgr.pin(e);
+  EXPECT_EQ(again.get(), held.get());
+  EXPECT_EQ(again->pin_ns, held->pin_ns);
+  EXPECT_EQ(reg.counter("dyn.pins").value, 2u);
+  again.reset();
+
+  // Dropped: the manager holds the view only weakly, so the next pin
+  // builds a new one, equal to the dropped one row for row and in cost.
+  const std::vector<std::uint64_t> rows = all_rows(held->dg());
+  const double pin_ns = held->pin_ns;
+  const std::uint64_t groups = held->patched_groups;
+  const std::weak_ptr<const Snapshot> dropped = held;
+  held.reset();
+  EXPECT_TRUE(dropped.expired());
+  const auto rebuilt = mgr.pin(e);
+  EXPECT_EQ(all_rows(rebuilt->dg()), rows);
+  EXPECT_EQ(rebuilt->pin_ns, pin_ns);
+  EXPECT_EQ(rebuilt->patched_groups, groups);
+
+  // A new sealed epoch: a repin of the same epoch builds a new object
+  // (the later records are invisible in its rows but are probed, so its
+  // cost may move).
+  ingest_epochs(mgr, 1, 200, 31);
+  const auto after_ingest = mgr.pin(e);
+  EXPECT_NE(after_ingest.get(), rebuilt.get());
+  EXPECT_EQ(all_rows(after_ingest->dg()), rows);
+  EXPECT_EQ(after_ingest->deltas_applied, rebuilt->deltas_applied);
+
+  // A new base: compaction at the latest epoch, then a repin of it.
+  const auto latest = mgr.pin(mgr.epoch());
+  (void)mgr.compact();
+  const auto after_compact = mgr.pin(mgr.epoch());
+  EXPECT_NE(after_compact.get(), latest.get());
+  EXPECT_EQ(after_compact->patched_rows, 0u);  // the new base is the view
+  EXPECT_EQ(all_rows(after_compact->dg()), all_rows(latest->dg()));
+  EXPECT_EQ(reg.counter("dyn.pins").value, 6u);
+
+  // Pins are host work, whether they would reuse the held view or build
+  // one after a new epoch.
+  Cluster runner = make_cluster();
+  int refused = 0;
+  const auto pin_in_a_rank = [&] {
+    runner.run([&](rt::Proc& proc) {
+      if (proc.rank != 0) return;
+      try {
+        (void)mgr.pin(mgr.epoch());
+      } catch (const std::logic_error&) {
+        ++refused;
+      }
+    });
+  };
+  pin_in_a_rank();
+  ingest_epochs(mgr, 1, 200, 47);
+  pin_in_a_rank();
+  EXPECT_EQ(refused, 2);
+}
+
+/// The pinned view at every epoch, across compactions, equals the slices
+/// built from the CSR rebuilt at that epoch through every read the kernels
+/// make: bottom-up rows, degrees, top-down keys and groups, edge counts.
+TEST(Snapshot, PinnedViewMatchesFreshSlicesAcrossCompactions) {
+  const Cluster c = make_cluster();
+  const auto p = base_params();
+  Partition1D part(p.num_vertices(), c.nranks());
+  SnapshotManager mgr(c, base_csr(), part);
+  IngestConfig ic;
+  ic.base = p;
+  ic.seed = 0xc0ffee;
+  IngestGenerator gen(ic);
+
+  int merged = 0;
+  for (int e = 1; e <= 9; ++e) {
+    mgr.ingest(gen.next_batch(300));
+    if (e % 3 == 0) (void)mgr.compact();
+    // Pin the previous epoch too while it is still above the base.
+    for (std::uint64_t at = std::max(mgr.base().epoch, mgr.epoch() - 1);
+         at <= mgr.epoch(); ++at) {
+      const auto snap = mgr.pin(at);
+      const graph::DistGraph& got = snap->dg();
+      const graph::DistGraph want =
+          graph::DistGraph::build(mgr.rebuild_csr(at), part);
+      if (snap->patched_rows > 0) ++merged;
+      ASSERT_EQ(got.n, want.n);
+      ASSERT_EQ(got.directed_edges, want.directed_edges) << "epoch " << at;
+      for (int r = 0; r < c.nranks(); ++r) {
+        const auto& g = got.locals[static_cast<std::size_t>(r)];
+        const auto& w = want.locals[static_cast<std::size_t>(r)];
+        ASSERT_EQ(g.vbegin, w.vbegin);
+        ASSERT_EQ(g.vend, w.vend);
+        ASSERT_EQ(g.owned_edges(), w.owned_edges()) << "rank " << r;
+        for (std::uint64_t lv = 0; lv < w.owned(); ++lv) {
+          ASSERT_EQ(g.degree(lv), w.degree(lv)) << "epoch " << at;
+          const auto gr = g.bu_neighbors(lv);
+          const auto wr = w.bu_neighbors(lv);
+          ASSERT_TRUE(std::equal(gr.begin(), gr.end(), wr.begin(), wr.end()))
+              << "epoch " << at << " vertex " << w.vbegin + lv;
+        }
+        ASSERT_EQ(g.td_keys, w.td_keys) << "epoch " << at << " rank " << r;
+        for (std::size_t k = 0; k < w.td_keys.size(); ++k) {
+          const auto gg = g.td_group(k);
+          const auto wg = w.td_group(k);
+          ASSERT_TRUE(std::equal(gg.begin(), gg.end(), wg.begin(), wg.end()))
+              << "epoch " << at << " rank " << r << " key " << w.td_keys[k];
+        }
+      }
+    }
+  }
+  EXPECT_GT(merged, 0);  // merged views, not only clean ones, were compared
+}
+
 TEST(Compactor, FillTriggerFiresAndResets) {
   const Cluster c = make_cluster();
   const auto p = base_params();
