@@ -407,6 +407,9 @@ class TrianglesProgram final : public FrontierProgram {
         off_[v + 1] = fwd_.size();
       }
     }
+    // These reads are host-side construction, not a rank's kernel: drain
+    // them so the first advance does not charge them as delta probes.
+    for (const auto& lg : dg.locals) lg.take_patch_reads();
   }
 
   const char* name() const override { return "triangles"; }

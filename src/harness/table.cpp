@@ -1,5 +1,6 @@
 #include "harness/table.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -42,7 +43,12 @@ std::string Table::ms(double ns, int precision) {
 }
 
 std::string Table::gteps(double teps, int precision) {
-  return fmt(teps / 1e9, precision) + " GTEPS";
+  const double g = teps / 1e9;
+  // A positive rate too small for `precision` decimals keeps three
+  // significant digits rather than printing as zero.
+  if (g > 0 && g < std::pow(10.0, -precision))
+    precision = 2 - static_cast<int>(std::floor(std::log10(g)));
+  return fmt(g, precision) + " GTEPS";
 }
 
 std::string Table::pct(double fraction, int precision) {

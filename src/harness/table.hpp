@@ -25,6 +25,8 @@ class Table {
   static std::string fmt(double v, int precision = 2);
   /// Scaled formats used throughout the benches.
   static std::string ms(double ns, int precision = 2);   ///< ns -> "x.xx ms"
+  /// TEPS -> "x.xx GTEPS"; a positive rate below 10^-precision GTEPS is
+  /// printed with three significant digits instead ("0.00412 GTEPS").
   static std::string gteps(double teps, int precision = 2);
   static std::string pct(double fraction, int precision = 1);
 

@@ -22,6 +22,7 @@
 #include "bfs2d/bfs2d.hpp"
 #include "engine/engine.hpp"
 #include "engine/msbfs.hpp"
+#include "engine/programs.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "graph/dynamic/compactor.hpp"
@@ -412,6 +413,22 @@ TEST(Compactor, FillTriggerFiresAndResets) {
   EXPECT_EQ(mgr.live_records(), 0u);
   EXPECT_FALSE(bg.due());
   EXPECT_EQ(bg.compactions(), 1u);
+}
+
+TEST(Snapshot, TrianglesConstructionLeavesNoPatchReads) {
+  // The triangles program reads every merged row on the host while it
+  // builds its forward adjacency; none of those reads may stay pending for
+  // its first kernel to charge as delta probes.
+  const Cluster c = make_cluster();
+  Partition1D part(base_params().num_vertices(), c.nranks());
+  SnapshotManager mgr(c, base_csr(), part);
+  ingest_epochs(mgr, 2, 500);
+  const auto snap = mgr.pin(mgr.epoch());
+  ASSERT_GT(snap->patched_rows, 0u);
+  const auto prog = engine::make_program(engine::ProgramWorkload::triangles,
+                                         snap->dg(), {});
+  for (const auto& lg : snap->dg().locals)
+    EXPECT_EQ(lg.take_patch_reads(), 0u) << "rank slice " << lg.vbegin;
 }
 
 // ---------------------------------------------------------------------------

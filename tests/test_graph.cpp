@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
@@ -36,6 +40,79 @@ TEST(Csr, KeepsDuplicateEdges) {
   const Csr g = Csr::from_edges(2, edges);
   EXPECT_EQ(g.degree(0), 3u);
   EXPECT_EQ(g.degree(1), 3u);
+}
+
+/// Generation-order rows: a plain scatter of `edges`, self-loops dropped.
+std::vector<std::vector<Vertex>> scatter_rows(std::uint64_t n,
+                                              std::span<const Edge> edges) {
+  std::vector<std::vector<Vertex>> rows(n);
+  for (const Edge& e : edges) {
+    if (e.u == e.v) continue;
+    rows[e.u].push_back(e.v);
+    rows[e.v].push_back(e.u);
+  }
+  return rows;
+}
+
+/// Every row of `g` is its generation-order row, reordered by degree class
+/// of the neighbour (never increasing along the row) and kept in
+/// generation order within a class.
+void expect_hub_first(const Csr& g, std::span<const Edge> edges) {
+  const auto gen = scatter_rows(g.num_vertices(), edges);
+  const auto cls = [&](Vertex u) {
+    return static_cast<int>(std::bit_width(g.degree(u)));
+  };
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto row = g.neighbors(v);
+    ASSERT_TRUE(std::is_permutation(row.begin(), row.end(), gen[v].begin(),
+                                    gen[v].end()))
+        << "row " << v;
+    for (std::size_t i = 1; i < row.size(); ++i)
+      ASSERT_GE(cls(row[i - 1]), cls(row[i])) << "row " << v << " at " << i;
+    for (int c = 0; c <= 64; ++c) {
+      std::vector<Vertex> got, want;
+      std::copy_if(row.begin(), row.end(), std::back_inserter(got),
+                   [&](Vertex u) { return cls(u) == c; });
+      std::copy_if(gen[v].begin(), gen[v].end(), std::back_inserter(want),
+                   [&](Vertex u) { return cls(u) == c; });
+      ASSERT_EQ(got, want) << "row " << v << " class " << c;
+    }
+  }
+}
+
+TEST(Csr, KeepMultiplicityRowsAreHubFirst) {
+  // Degrees 6, 3, 4, 1, 2, 1, 1: classes 3, 2, 3, 1, 2, 1, 1.
+  const std::vector<Edge> edges = {{2, 3}, {2, 1}, {2, 0}, {0, 1}, {0, 4},
+                                   {0, 5}, {0, 6}, {1, 4}, {3, 3}, {2, 0}};
+  const Csr g = Csr::from_edges(7, edges);
+  const auto row = [&](Vertex v) {
+    const auto r = g.neighbors(v);
+    return std::vector<Vertex>(r.begin(), r.end());
+  };
+  EXPECT_EQ(row(0), (std::vector<Vertex>{2, 2, 1, 4, 5, 6}));
+  EXPECT_EQ(row(1), (std::vector<Vertex>{2, 0, 4}));
+  EXPECT_EQ(row(2), (std::vector<Vertex>{0, 0, 1, 3}));
+  EXPECT_EQ(row(4), (std::vector<Vertex>{0, 1}));
+  expect_hub_first(g, edges);
+
+  // R-MAT rows run from one entry to far past the insertion-sort cutoff,
+  // so both the short-row and the long-row ordering are exercised.
+  RmatParams p;
+  p.scale = 12;
+  p.edgefactor = 16;
+  const auto rmat = rmat_edges(p);
+  expect_hub_first(Csr::from_edges(p.num_vertices(), rmat), rmat);
+
+  // Set semantics keep canonical rows: strictly ascending.
+  const Csr s =
+      Csr::from_edges(p.num_vertices(), rmat, EdgePolicy::sorted_dedup);
+  for (Vertex v = 0; v < s.num_vertices(); ++v) {
+    const auto r = s.neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(r.begin(), r.end(), [](Vertex a, Vertex b) {
+                  return a >= b;
+                }) == r.end())
+        << "row " << v;
+  }
 }
 
 TEST(Csr, SortedDedupCanonicalizesRows) {

@@ -208,6 +208,17 @@ TEST(Table, AlignsColumnsAndFormats) {
   EXPECT_EQ(Table::pct(0.544, 1), "54.4%");
 }
 
+TEST(Table, TinyGtepsKeepThreeSignificantDigits) {
+  // Below 10^-precision GTEPS the fixed format would print zero.
+  EXPECT_EQ(Table::gteps(4.123e6), "0.00412 GTEPS");
+  EXPECT_EQ(Table::gteps(9.87e6), "0.00987 GTEPS");
+  EXPECT_EQ(Table::gteps(4.56e4), "0.0000456 GTEPS");
+  EXPECT_EQ(Table::gteps(4.123e7, 1), "0.0412 GTEPS");
+  // At or above it, and at zero, the fixed precision is unchanged.
+  EXPECT_EQ(Table::gteps(1.234e7), "0.01 GTEPS");
+  EXPECT_EQ(Table::gteps(0), "0.00 GTEPS");
+}
+
 }  // namespace
 }  // namespace numabfs::harness
 
