@@ -227,7 +227,10 @@ GateResult gate_bitmap_chunks(
   GateResult res;
   res.wire_chunk_bytes = chunk_words * 8;
   const int total = comm.size();
-  if (mode == CodecMode::off || total <= 1) return res;
+  if (mode == CodecMode::off || total <= 1) {
+    res.popcount_free = true;
+    return res;
+  }
   const int K = std::max(1, pipeline_chunks);
 
   // Chunks are skewed (R-MAT hubs cluster), and every collective plan moves
@@ -249,16 +252,14 @@ GateResult gate_bitmap_chunks(
   res.raw_est_ns = plan_total_ns(chunk_words * 8);
   const double enc_est = u.stream_pass_ns(chunk_words);
   const double dec_est = u.stream_pass_ns(decode_chunks * chunk_words);
+  const auto coded_est = [&](std::uint64_t bytes) {
+    return res.reduce_ns + enc_est + split_ns +
+           cm::pipelined2_ns(plan_total_ns(bytes), dec_est, K);
+  };
   const double dense_est =
-      res.reduce_ns + enc_est + split_ns +
-      cm::pipelined2_ns(plan_total_ns(codec::dense_estimate_bytes(
-                            chunk_words, res.mean_pop)),
-                        dec_est, K);
+      coded_est(codec::dense_estimate_bytes(chunk_words, res.mean_pop));
   const double sparse_est =
-      res.reduce_ns + enc_est + split_ns +
-      cm::pipelined2_ns(plan_total_ns(codec::sparse_estimate_bytes(
-                            res.mean_pop, chunk_bits)),
-                        dec_est, K);
+      coded_est(codec::sparse_estimate_bytes(res.mean_pop, chunk_bits));
   res.coded_est_ns = std::min(dense_est, sparse_est);
 
   // The estimates assume uniform density, but chunks are skewed, so a level
@@ -280,7 +281,15 @@ GateResult gate_bitmap_chunks(
         trial = sparse_est <= dense_est ? codec::Kind::sparse_list
                                        : codec::Kind::dense_bitmap;
   }
-  if (trial == codec::Kind::raw) return res;
+  if (trial == codec::Kind::raw) {
+    // Every popcount's estimate is at least popcount 0's, so when that one
+    // fails the trial test too, no frontier could have changed the pick.
+    res.popcount_free =
+        coded_est(std::min(codec::dense_estimate_bytes(chunk_words, 0),
+                           codec::sparse_estimate_bytes(0, chunk_bits))) >=
+        res.raw_est_ns * 1.5;
+    return res;
+  }
 
   // Encode for real; wire time is then charged on the *measured*
   // (allreduce-summed) encoded sizes, never on the gate's estimate.
@@ -510,7 +519,8 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
 
 ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
                                           int next_dir, std::uint64_t nf,
-                                          std::span<const int> parts) {
+                                          std::span<const int> parts,
+                                          double /*reduce_ns*/) {
   ExchangeLevelStats s;
   if (next_dir == 1) {
     // Next level searches bottom-up: it needs the in_queue bitmap. A

@@ -110,6 +110,10 @@ struct GateResult {
   double raw_est_ns = 0;       ///< the plan's time on raw chunks
   double coded_est_ns = 0;     ///< best coded estimate, reduction included
   double reduce_ns = 0;        ///< the priced trial reduction
+  /// The pick is raw whatever `set_bits` is: the codec is off, or even at
+  /// popcount 0 the coded estimate fails the trial test. Such a leg's wire
+  /// format is known before the level's reduced stats are.
+  bool popcount_free = false;
 };
 
 /// What one frontier exchange moved, uniformly across decompositions.
@@ -191,7 +195,9 @@ struct GateChunk {
 /// one geometry: `chunk_words` words covering `chunk_bits` vertex bits.
 /// `per_chunk_ns` is the extra cost each additional pipeline chunk adds to
 /// the plan (CostParams::chunk_split_overhead_ns); 0 keeps the legacy
-/// monotone-in-K behavior.
+/// monotone-in-K behavior. `plan_total_ns` must not fall as the bytes grow:
+/// both size estimates are smallest at popcount 0, so a raw pick that the
+/// popcount-0 estimate already forces is reported as `popcount_free`.
 GateResult gate_bitmap_chunks(
     rt::Proc& p, rt::Comm& comm, CodecMode mode, int pipeline_chunks,
     std::span<GateChunk> chunks, std::uint64_t set_bits,
@@ -216,15 +222,19 @@ void decode_bitmap_checked(std::span<const std::uint8_t> in,
 /// directions (0 = top-down, 1 = bottom-up) and the same `nf`, the size of
 /// the next frontier from the level's reduced stats (the bitmap gates'
 /// popcount); `parts` lists the caller's partitions (own plus adopted).
-/// Implementations route every leg through the shared codec gates and
-/// K-chunk wire/decode pipelining.
+/// `reduce_ns` is the latency that stats reduction charged (Level::
+/// reduce_ns): legs whose content and wire format need neither its result
+/// nor the next direction may be modeled as posted beside it (the 2-D row
+/// plan's are; the 1-D hides none). Implementations route every leg
+/// through the shared codec gates and K-chunk wire/decode pipelining.
 class FrontierExchange {
  public:
   virtual ~FrontierExchange() = default;
   virtual const char* name() const = 0;
   virtual ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
                                       std::uint64_t nf,
-                                      std::span<const int> parts) = 0;
+                                      std::span<const int> parts,
+                                      double reduce_ns) = 0;
 };
 
 /// The 1-D hybrid's exchange: sparse-list allgatherv before a top-down
@@ -236,8 +246,8 @@ class OneDExchange final : public FrontierExchange {
       : dg_(dg), st_(st), u_(u) {}
   const char* name() const override { return "1d"; }
   ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                              std::uint64_t nf,
-                              std::span<const int> parts) override;
+                              std::uint64_t nf, std::span<const int> parts,
+                              double reduce_ns) override;
 
  private:
   const graph::DistGraph& dg_;

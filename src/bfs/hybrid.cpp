@@ -284,7 +284,7 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
       // the sparse list exchange is the top-down queue handoff. Both sit
       // behind the unified FrontierExchange interface (DESIGN.md §13).
       const ExchangeLevelStats ex =
-          exchanger.exchange(p, dir, next, nf, lv.parts);
+          exchanger.exchange(p, dir, next, nf, lv.parts, lv.reduce_ns);
       p.trace_instant(obs::kCatBfs, "codec.gate",
                       gate_trace_args(lv.number, ex));
       if (lv.recorder) {

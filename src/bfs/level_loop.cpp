@@ -79,7 +79,7 @@ void LevelLoop::run(rt::Proc& p, int level, const LevelHooks& h, bool more) {
 
     std::fill(stats.begin(), stats.end(), 0);
     h.kernel(lv);
-    rt::allreduce(p, world, stats, h.stats, sim::Phase::stall);
+    lv.reduce_ns = rt::allreduce(p, world, stats, h.stats, sim::Phase::stall);
 
     // Crash detection point. A rank dies at the start of a level, before
     // contributing to its kernels or reductions; the level's reduction

@@ -8,7 +8,10 @@
 /// checkpoint save/restore pair. The loop owns the abort horizon, the epoch
 /// export, the boundary checkpoint and crash point, the level's one world
 /// reduction, crash detection with adoption and rollback, and recorder
-/// election, in one order on every rank.
+/// election, in one order on every rank. `finish` learns the reduction's
+/// latency, so a driver can model work that does not need the reduced
+/// words as posted beside the reduction (the 2-D hides its row-plan
+/// delivery under it) while still running it after crash detection.
 
 #include <atomic>
 #include <climits>
@@ -36,6 +39,9 @@ struct Level {
   /// writes this rank's contribution, the loop allreduces them, `finish`
   /// reads the reduced values.
   std::span<std::uint64_t> stats;
+  /// The latency the loop charged for the stats reduction, set before
+  /// `finish` runs.
+  double reduce_ns = 0;
 };
 
 /// What a driver supplies. Every hook runs on the calling rank.

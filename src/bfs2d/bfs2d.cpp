@@ -70,17 +70,18 @@ std::pair<std::uint64_t, std::uint64_t> band_range(const Grid2d& grid, int i,
   return {vb, std::min(vb + grid.band_bits(), n)};
 }
 
-/// Build the blocks, piece degrees and piece edge counts of row band `i`.
-/// `entries` and `scratch` are the calling worker's buffers, at least one
-/// band long.
-void build_band(const graph::Csr& g, DistGraph2d& dg, int i,
-                std::vector<std::uint64_t>& entries,
-                std::vector<std::uint64_t>& scratch) {
+/// Build the blocks, piece degrees and piece edge counts of row band `i`;
+/// returns the band's largest degree. `entries` and `scratch` are the
+/// calling worker's buffers, at least one band long.
+std::uint64_t build_band(const graph::Csr& g, DistGraph2d& dg, int i,
+                         std::vector<std::uint64_t>& entries,
+                         std::vector<std::uint64_t>& scratch) {
   const Grid2d& grid = dg.grid;
   const std::uint64_t n = g.num_vertices();
   const auto [vb, ve] = band_range(grid, i, n);
 
   // The band's pieces are those of ranks (i, 0..C-1).
+  std::uint64_t max_deg = 0;
   for (int j = 0; j < grid.cols(); ++j) {
     const int r = grid.rank_at(i, j);
     auto& deg = dg.piece_deg[static_cast<std::size_t>(r)];
@@ -89,6 +90,7 @@ void build_band(const graph::Csr& g, DistGraph2d& dg, int i,
     for (std::uint64_t v = pb; v < pe; ++v) {
       deg[v - pb] = g.degree(static_cast<graph::Vertex>(v));
       dg.owned_edges[static_cast<std::size_t>(r)] += deg[v - pb];
+      max_deg = std::max(max_deg, deg[v - pb]);
     }
   }
 
@@ -120,6 +122,7 @@ void build_band(const graph::Csr& g, DistGraph2d& dg, int i,
     graph::sort_by_key(block, scratch, grid.band_begin(i), grid.band_bits());
     graph::split_groups(block, blk.bu_keys, blk.bu_offsets, blk.bu_sources);
   }
+  return max_deg;
 }
 
 }  // namespace
@@ -146,10 +149,14 @@ DistGraph2d DistGraph2d::build(const graph::Csr& g, const Grid2d& grid) {
   const int nw = std::min(rows, rt::exec::max_workers());
   std::vector<std::vector<std::uint64_t>> buffers(
       2 * static_cast<std::size_t>(nw), std::vector<std::uint64_t>(largest));
+  std::vector<std::uint64_t> max_deg(static_cast<std::size_t>(nw), 0);
   rt::exec::run(nw, [&](int w) {
     for (int i = rows * w / nw; i < rows * (w + 1) / nw; ++i)
-      build_band(g, dg, i, buffers[2 * w], buffers[2 * w + 1]);
+      max_deg[static_cast<std::size_t>(w)] =
+          std::max(max_deg[static_cast<std::size_t>(w)],
+                   build_band(g, dg, i, buffers[2 * w], buffers[2 * w + 1]));
   });
+  dg.max_degree = *std::max_element(max_deg.begin(), max_deg.end());
   return dg;
 }
 
@@ -337,6 +344,12 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
   bfs::LevelLoop loop(c, {.who = "run_bfs_2d", .trace_cat = obs::kCatBfs});
   std::vector<Ckpt2d> ckpt(static_cast<std::size_t>(np));
   const bfs::Beamer beamer{opt.alpha, opt.beta};
+  // The set-up reduction's only use is level 0's direction. Beamer's first
+  // test grows with the root's degree, so if even the largest degree would
+  // start top-down, every root does and the reduction is skipped.
+  const bool setup_reduce =
+      opt.direction == bfs::Direction::hybrid &&
+      beamer.first(dg.max_degree, dg.directed_edges - dg.max_degree) == 1;
 
   c.run([&](rt::Proc& p) {
     const bfs::UnitCosts& u = costs[static_cast<std::size_t>(p.rank)];
@@ -371,20 +384,21 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
       p.barrier(world, sim::Phase::other);
     }
 
-    // The root's degree and the edges left to traverse, for the first
-    // level's direction.
-    std::array<std::uint64_t, 2> root_stats{
-        g.owner(root) == p.rank
-            ? dg.piece_deg[static_cast<std::size_t>(p.rank)]
-                          [root - g.piece_begin(p.rank)]
-            : 0,
-        st.unvisited_edges[static_cast<std::size_t>(p.rank)]};
-    rt::allreduce(p, world, root_stats,
-                  std::array{rt::ReduceOp::sum, rt::ReduceOp::sum},
-                  sim::Phase::stall);
     int dir = opt.direction == bfs::Direction::bottom_up_only ? 1 : 0;
-    if (opt.direction == bfs::Direction::hybrid)
+    if (setup_reduce) {
+      // The root's degree and the edges left to traverse, for the first
+      // level's direction.
+      std::array<std::uint64_t, 2> root_stats{
+          g.owner(root) == p.rank
+              ? dg.piece_deg[static_cast<std::size_t>(p.rank)]
+                            [root - g.piece_begin(p.rank)]
+              : 0,
+          st.unvisited_edges[static_cast<std::size_t>(p.rank)]};
+      rt::allreduce(p, world, root_stats,
+                    std::array{rt::ReduceOp::sum, rt::ReduceOp::sum},
+                    sim::Phase::stall);
       dir = beamer.first(root_stats[0], root_stats[1]);
+    }
 
     // Level 0's col-band inputs hold the root alone, which every rank
     // knows: the members of its column band set its bit locally, with no
@@ -508,7 +522,7 @@ Bfs2dResult run_bfs_2d(rt::Cluster& c, const DistGraph2d& dg,
 
       ex.reset_legs();
       const bfs::ExchangeLevelStats exs =
-          ex.exchange(p, dir, next, nf, lv.parts);
+          ex.exchange(p, dir, next, nf, lv.parts, lv.reduce_ns);
       p.trace_instant(obs::kCatBfs, "codec.gate",
                       bfs::gate_trace_args(lv.number, exs));
       // Every leg of the exchange built the next level's inputs.

@@ -138,6 +138,9 @@ struct DistGraph2d {
   std::vector<std::vector<std::uint64_t>> piece_deg;
   /// Sum of the piece's degrees (the partition's share of Eq. (1)'s m).
   std::vector<std::uint64_t> owned_edges;
+  /// The largest vertex degree. Beamer's first-level test grows with the
+  /// root's degree, so when this one would start top-down every root does.
+  std::uint64_t max_degree = 0;
 
   /// Block `g` over `grid`, row bands spread over the executor pool.
   /// Throws std::invalid_argument when the grid and the CSR disagree on
@@ -207,9 +210,10 @@ struct Bfs2dResult {
   std::vector<Level2dTrace> trace;
   /// Mean time of one col-band delivery leg — the column allgather, or
   /// under the row plan the band transpose — over every rank and input
-  /// build that was charged one (level 0 runs none, and under the row plan
-  /// a rank that is its own transpose partner receives no band), and of one
-  /// fold (row exchange) per level.
+  /// build that ran one (level 0 runs none, and under the row plan a rank
+  /// that is its own transpose partner receives no band), at its full
+  /// modeled time even where the level's reduction hid it; and of one fold
+  /// (row exchange) per level.
   double expand_ns_per_level = 0;
   double fold_ns_per_level = 0;
 

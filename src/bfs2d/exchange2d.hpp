@@ -26,6 +26,15 @@
 /// the fold codes each claim list that its encoding shrinks, like the 1-D
 /// sparse exchange. Level 0's inputs are the root alone, which every rank
 /// knows, so the level loop seeds them locally and runs no plan.
+///
+/// The row plan's two legs carry the fold's output whatever the next
+/// direction, so when the gate's pick needs no popcount either (codec off,
+/// or a raw pick even popcount 0 forces: GateResult::popcount_free) they are
+/// modeled as posted beside the level's stats reduction: each rank pays
+/// max(0, its wire legs - the reduction's latency) after it. The column
+/// plan, forced codecs and gate levels that may run a trial wait for the
+/// reduction, and local passes (the frontier swap, the OR into the row
+/// replicas, the summary rebuild) are charged after it in every case.
 
 #include <cstdint>
 #include <span>
@@ -146,10 +155,12 @@ class TwoDExchange final : public bfs::FrontierExchange {
   /// FrontierExchange: advance the frontier, then build the col-band
   /// inputs for `next_dir` by the picked plan (pick_plan), keeping the
   /// row-band visited replicas current when the next level is bottom-up
-  /// (the row leg, or the full rebuild on a td -> bu switch).
+  /// (the row leg, or the full rebuild on a td -> bu switch). Row-plan wire
+  /// legs that can be posted beside the level's stats reduction hide under
+  /// its `reduce_ns` (see the file comment).
   bfs::ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                                   std::uint64_t nf,
-                                   std::span<const int> parts) override;
+                                   std::uint64_t nf, std::span<const int> parts,
+                                   double reduce_ns) override;
 
   LegBytes& legs() { return legs_; }
   void reset_legs() { legs_ = LegBytes{}; }
@@ -164,10 +175,11 @@ class TwoDExchange final : public bfs::FrontierExchange {
   /// Gate, plan, legs, closing barrier and `2d.expand` span of one input
   /// build. `after_level`: a level exchange, which may take the row plan
   /// and serves the row replicas; otherwise a rollback's column rebuild.
+  /// `reduce_ns`: the latency of the reduction the legs may hide under.
   bfs::ExchangeLevelStats deliver(rt::Proc& p, int dir,
                                   std::uint64_t frontier_bits,
                                   std::span<const int> parts,
-                                  bool after_level);
+                                  bool after_level, double reduce_ns);
   /// Wire bytes of origin `o`'s frontier piece under `kind`.
   std::uint64_t piece_wire_bytes(graph::codec::Kind kind, int o) const;
   /// Copy or decode origin `o`'s frontier piece into `dst`.

@@ -54,8 +54,8 @@ struct Counters {
   /// of serving off base-plus-deltas instead of a compacted CSR.
   std::uint64_t delta_probes = 0;
   /// Vector allreduces this rank joined (rt::allreduce), so tests can pin
-  /// the reductions a traversal pays: one per root set-up and per level,
-  /// plus the exchanges' own.
+  /// the reductions a traversal pays: one per level, one per root set-up
+  /// where level 0's direction needs it, plus the exchanges' own.
   std::uint64_t reductions = 0;
 
   Counters& operator+=(const Counters& o);
@@ -73,8 +73,9 @@ class PhaseProfile {
   Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }
 
-  /// Modeled time the chunk-pipelined exchange saved versus running its
-  /// wire and codec stages back-to-back (kept separate so Fig. 11-style
+  /// Modeled time an overlap saved versus running its stages back to back:
+  /// the K-chunk pipeline's wire and codec stages, or the 2-D row-plan legs
+  /// hidden under the level's reduction (kept separate so Fig. 11-style
   /// breakdowns remain truthful about what was charged).
   void add_overlap_saved(double ns) { overlap_saved_ns_ += ns; }
   double overlap_saved_ns() const { return overlap_saved_ns_; }

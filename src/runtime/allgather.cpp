@@ -166,8 +166,8 @@ coll_model::CollTimes allgather(Proc& p, Comm& comm,
   return t;
 }
 
-void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
-               std::span<const ReduceOp> ops, sim::Phase phase) {
+double allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
+                 std::span<const ReduceOp> ops, sim::Phase phase) {
   assert(words.size() == ops.size());
   if (words.size() > Comm::kMaxReduceWords)
     throw std::invalid_argument(
@@ -202,10 +202,12 @@ void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
       }
     }
   }
-  p.charge(phase, coll_model::allreduce_ns(*p.cluster, comm));
+  const double ns = coll_model::allreduce_ns(*p.cluster, comm);
+  p.charge(phase, ns);
   ++p.prof.counters().reductions;
   p.barrier(comm, phase);  // the combined result is complete
   std::copy_n(acc.begin(), words.size(), words.begin());
+  return ns;
 }
 
 }  // namespace numabfs::rt

@@ -56,8 +56,10 @@ enum class ReduceOp { sum, max, min, bit_or };
 /// dead members' slots hold stale values from before the crash and are
 /// skipped. The words ride one eager message, so the call is charged
 /// coll_model::allreduce_ns of the comm whatever their count, and counts
-/// one reduction on the calling rank.
-void allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
-               std::span<const ReduceOp> ops, sim::Phase phase);
+/// one reduction on the calling rank. Returns that latency, so a caller can
+/// overlap work it posts beside the reduction (a straggler's Proc::charge
+/// scales the latency and that work alike).
+double allreduce(Proc& p, Comm& comm, std::span<std::uint64_t> words,
+                 std::span<const ReduceOp> ops, sim::Phase phase);
 
 }  // namespace numabfs::rt

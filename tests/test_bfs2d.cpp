@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "bfs2d/exchange2d.hpp"
 
@@ -14,6 +18,7 @@
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "numasim/topology.hpp"
+#include "obs/trace.hpp"
 #include "runtime/coll_model.hpp"
 
 namespace numabfs::bfs2d {
@@ -430,6 +435,162 @@ TEST(Bfs2d, ExpandSmallerThanOneDAllgather) {
   const double one_d =
       rt::coll_model::flat_ring(c, grid.padded() / 8 / 64).total_ns;
   EXPECT_LT(res.expand_ns_per_level, one_d);
+}
+
+// --- the row-plan delivery hidden under the level's reduction -----------
+
+/// One `2d.expand` span of a rank's track, or (`rollback`) the recovery
+/// span of a crash.
+struct ExpandSpan {
+  double t0 = 0;
+  bool rollback = false;
+  bool row = false;
+  double hidden_ns = 0;
+};
+
+/// Rank `rank`'s expand and recovery spans in start order: a recovery span
+/// starts at the crashed level's entry, before the rebuild it runs.
+std::vector<ExpandSpan> expand_spans(const obs::Tracer& tr, int rank) {
+  std::vector<ExpandSpan> out;
+  for (const auto& ev : tr.track(rank)) {
+    if (!ev.is_span()) continue;
+    if (ev.name == "recovery.rollback") {
+      out.push_back({.t0 = ev.ts_ns, .rollback = true});
+      continue;
+    }
+    if (ev.name != "2d.expand") continue;
+    constexpr std::string_view kHidden = "\"hidden_ns\":";
+    const std::size_t at = ev.args.find(kHidden);
+    EXPECT_NE(at, std::string::npos) << ev.args;
+    if (at == std::string::npos) continue;
+    out.push_back(
+        {.t0 = ev.ts_ns,
+         .row = ev.args.find("\"plan\":\"row\"") != std::string::npos,
+         .hidden_ns =
+             std::strtod(ev.args.c_str() + at + kHidden.size(), nullptr)});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ExpandSpan& a, const ExpandSpan& b) {
+                     return a.t0 < b.t0;
+                   });
+  return out;
+}
+
+/// Run `o` traced on `c` from `root`, check the tree, and return every
+/// rank's expand spans.
+std::vector<std::vector<ExpandSpan>> traced_spans(rt::Cluster& c,
+                                                  const graph::Csr& g,
+                                                  const DistGraph2d& d,
+                                                  graph::Vertex root,
+                                                  const Bfs2dOptions& o,
+                                                  Bfs2dResult* res = nullptr) {
+  auto tr = std::make_shared<obs::Tracer>(c.nranks(), c.ppn());
+  c.set_tracer(tr);
+  std::vector<graph::Vertex> parent;
+  const Bfs2dResult r = run_bfs_2d(c, d, root, &parent, o);
+  c.set_tracer(nullptr);
+  const auto v = graph::validate_bfs_tree(g, root, parent);
+  EXPECT_TRUE(v.ok) << v.error;
+  if (res != nullptr) *res = r;
+  std::vector<std::vector<ExpandSpan>> out;
+  for (int rank = 0; rank < c.nranks(); ++rank)
+    out.push_back(expand_spans(*tr, rank));
+  return out;
+}
+
+TEST(Bfs2dOverlap, RowPlanLegsHideUnderTheLevelReduction) {
+  // 16 nodes x 4 at physical alpha, an 8 x 8 grid, node-aware collectives,
+  // codec off: every level's inputs ride the row plan, whose row allgather
+  // and band transpose are posted beside the level's stats reduction. Each
+  // rank then hides part of them, never more than the reduction took.
+  const graph::Csr g = make_csr(12);
+  const Grid2d grid = Grid2d::make(g.num_vertices(), 64, 4);
+  ASSERT_EQ(grid.rows(), 8);
+  const DistGraph2d d = DistGraph2d::build(g, grid);
+  rt::Cluster c(sim::Topology::xeon_x7550_cluster(16), sim::CostParams{}, 4);
+  const double reduce_ns = rt::coll_model::allreduce_ns(c, c.world());
+  Bfs2dOptions o;
+  o.hier = rt::coll_model::HierLevel::node;
+  Bfs2dResult r;
+  const auto spans = traced_spans(c, g, d, first_root(g), o, &r);
+  ASSERT_GT(r.levels, 2);
+  double hidden_sum = 0;
+  for (int rank = 0; rank < c.nranks(); ++rank) {
+    ASSERT_EQ(spans[rank].size(), static_cast<std::size_t>(r.levels - 1));
+    for (const ExpandSpan& sp : spans[rank]) {
+      EXPECT_TRUE(sp.row) << "rank " << rank;
+      EXPECT_GT(sp.hidden_ns, 0.0) << "rank " << rank;
+      EXPECT_LE(sp.hidden_ns, reduce_ns) << "rank " << rank;
+      hidden_sum += sp.hidden_ns;
+    }
+  }
+  // The profile's overlap saving reports exactly what the legs hid.
+  EXPECT_NEAR(r.profile_avg.overlap_saved_ns(), hidden_sum / c.nranks(),
+              1e-9 * hidden_sum);
+}
+
+TEST(Bfs2dOverlap, NothingHidesWhereTheLegsWaitForTheReduction) {
+  const graph::Csr g = make_csr(12);
+  const graph::Vertex root = first_root(g);
+  const auto none_hidden = [](const std::vector<std::vector<ExpandSpan>>& s) {
+    int n = 0;
+    for (const auto& rank : s)
+      for (const ExpandSpan& sp : rank) {
+        EXPECT_EQ(sp.hidden_ns, 0.0);
+        n += !sp.rollback;
+      }
+    EXPECT_GT(n, 0);
+  };
+  Bfs2dOptions hier;
+  hier.hier = rt::coll_model::HierLevel::node;
+
+  // A forced codec's wire bytes come out of its trial reduction, so its
+  // legs cannot start before the level's stats are reduced.
+  const Grid2d sq = Grid2d::make(g.num_vertices(), 64, 4);
+  const DistGraph2d dsq = DistGraph2d::build(g, sq);
+  rt::Cluster c16(sim::Topology::xeon_x7550_cluster(16), sim::CostParams{},
+                  4);
+  Bfs2dOptions forced = hier;
+  forced.codec = bfs::CodecMode::force_dense;
+  none_hidden(traced_spans(c16, g, dsq, root, forced));
+
+  // A 4 x 2 grid (C % R != 0) runs the column plan on every level.
+  const Grid2d tall(g.num_vertices(), 4, 2);
+  const DistGraph2d dtall = DistGraph2d::build(g, tall);
+  rt::Cluster c4(sim::Topology::xeon_x7550_cluster(4), sim::CostParams{}, 2);
+  none_hidden(traced_spans(c4, g, dtall, root, hier));
+
+  // After a crash every level waits: the rollback rebuilds by the column
+  // plan and a degraded grid keeps it. Before the crash the row plan hid.
+  c16.set_fault_injector(std::make_shared<faults::FaultInjector>(
+      faults::FaultPlan::parse("crash:rank=5@level=2"), c16.nranks(),
+      c16.ppn()));
+  Bfs2dResult r;
+  const auto spans = traced_spans(c16, g, dsq, root, hier, &r);
+  c16.set_fault_injector(nullptr);
+  ASSERT_EQ(r.recoveries, 1);
+  for (int rank = 0; rank < c16.nranks(); ++rank) {
+    if (rank == 5) continue;
+    bool after = false;
+    int before = 0, later = 0;
+    for (const ExpandSpan& sp : spans[rank]) {
+      if (sp.rollback) {
+        after = true;
+        continue;
+      }
+      if (after) {
+        EXPECT_FALSE(sp.row) << "rank " << rank;
+        EXPECT_EQ(sp.hidden_ns, 0.0) << "rank " << rank;
+        ++later;
+      } else {
+        EXPECT_GT(sp.hidden_ns, 0.0) << "rank " << rank;
+        ++before;
+      }
+    }
+    EXPECT_TRUE(after) << "rank " << rank;
+    EXPECT_GT(before, 0) << "rank " << rank;
+    EXPECT_GT(later, 0) << "rank " << rank;
+  }
 }
 
 // --- fault tolerance parity (satellite: checkpoint/adoption) ------------

@@ -431,6 +431,20 @@ TEST(Estimates, TrackRealSizesDirectionally) {
   EXPECT_LE(sparse_estimate_bytes(100, 64000), 64000 / 8);
   EXPECT_LT(dense_estimate_bytes(1000, 64), dense_estimate_bytes(1000, 6400));
   EXPECT_LT(sparse_estimate_bytes(10, 64000), sparse_estimate_bytes(1000, 64000));
+  // Both are smallest at popcount 0, which the gate's popcount-free pick
+  // (GateResult::popcount_free) rests on.
+  for (const std::uint64_t words : {1u, 4u, 64u, 1024u}) {
+    const std::uint64_t bits = words * 64;
+    const std::uint64_t step = std::max<std::uint64_t>(1, bits / 256);
+    for (std::uint64_t pop = 0; pop <= bits; pop += step) {
+      EXPECT_LE(dense_estimate_bytes(words, 0),
+                dense_estimate_bytes(words, pop))
+          << words << " words, pop " << pop;
+      EXPECT_LE(sparse_estimate_bytes(0, bits),
+                sparse_estimate_bytes(pop, bits))
+          << words << " words, pop " << pop;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

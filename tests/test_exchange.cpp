@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bfs/exchange.hpp"
+#include "graph/codec.hpp"
 #include "graph/rmat.hpp"
 
 namespace numabfs::bfs {
@@ -207,6 +210,85 @@ TEST(Exchange, ShareReducesModeledTotal) {
     EXPECT_LT(total, prev) << "plan " << plan;
     prev = total;
   }
+}
+
+// --- the codec gate's popcount-free pick ----------------------------------
+
+/// Popcounts 0..bits in 16 steps, both ends included.
+std::vector<std::uint64_t> pop_sweep(std::uint64_t bits) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t pop = 0; pop < bits; pop += bits / 16) out.push_back(pop);
+  out.push_back(bits);
+  return out;
+}
+
+TEST(Gate, PopcountFreePickIsRawAtEveryPopcount) {
+  // 16 nodes x 4 at physical alpha: the gate's priced trial reduction
+  // costs several NIC latencies. Chunks of 64 words: a chunk rides in about
+  // 1.5 us, so even an empty frontier's coded estimate (the reduction
+  // alone) fails the 1.5x trial test and the pick is popcount-free. At
+  // 1,024 words a sparse frontier would try a codec, and at 8,192 words
+  // every frontier does, so neither pick is.
+  rt::Cluster c(sim::Topology::xeon_x7550_cluster(16), sim::CostParams{}, 4);
+  UnitCosts u;
+  u.word_stream_ns = 0.5;
+  const auto plan = [](std::uint64_t b) {
+    return 1000.0 + static_cast<double>(b);
+  };
+  struct Run {
+    GateResult gate;
+    std::uint64_t trials = 0;  ///< trial reductions rank 0 joined
+  };
+  const auto run_gate = [&](CodecMode mode, std::uint64_t words,
+                            std::uint64_t set_bits) {
+    const std::uint64_t per_chunk = set_bits / 64;  // 64 ranks
+    std::vector<std::vector<std::uint64_t>> bits(
+        64, std::vector<std::uint64_t>(words, 0));
+    std::vector<std::vector<std::uint8_t>> enc(64);
+    Run out;
+    c.run([&](rt::Proc& p) {
+      auto& w = bits[static_cast<std::size_t>(p.rank)];
+      for (std::uint64_t b = 0; b < per_chunk; ++b)
+        w[b / 64] |= std::uint64_t{1} << (b % 64);
+      std::vector<GateChunk> chunks(1);
+      chunks[0].words = w;
+      chunks[0].enc = &enc[static_cast<std::size_t>(p.rank)];
+      const GateResult g =
+          gate_bitmap_chunks(p, c.world(), mode, 1, chunks, set_bits, words,
+                             words * 64, 1, u, sim::Phase::bu_comm, plan);
+      if (p.rank == 0) out = {g, p.prof.counters().reductions};
+    });
+    return out;
+  };
+
+  const Run off = run_gate(CodecMode::off, 64, 100);
+  EXPECT_TRUE(off.gate.popcount_free);
+  EXPECT_EQ(off.gate.kind, graph::codec::Kind::raw);
+
+  int free_geometries = 0, bound_geometries = 0;
+  for (const std::uint64_t words : {64u, 1024u, 8192u}) {
+    const std::vector<std::uint64_t> pops = pop_sweep(words * 64 * 64);
+    const bool free = run_gate(CodecMode::gate, words, 0).gate.popcount_free;
+    (free ? free_geometries : bound_geometries)++;
+    bool raw_everywhere = true;
+    for (const std::uint64_t pop : pops) {
+      const Run r = run_gate(CodecMode::gate, words, pop);
+      // The claim is a property of the geometry, not of the popcount.
+      EXPECT_EQ(r.gate.popcount_free, free) << words << " words, pop " << pop;
+      raw_everywhere = raw_everywhere && r.trials == 0 &&
+                       r.gate.kind == graph::codec::Kind::raw;
+    }
+    if (free) {
+      EXPECT_TRUE(raw_everywhere) << words << " words";
+    } else {
+      // A bound pick runs a trial at popcount 0: the popcount mattered.
+      EXPECT_EQ(run_gate(CodecMode::gate, words, 0).trials, 1u);
+    }
+    // Forced codecs always run their trial.
+    EXPECT_FALSE(run_gate(CodecMode::force_dense, words, 0).gate.popcount_free);
+  }
+  EXPECT_EQ(free_geometries, 1);
+  EXPECT_EQ(bound_geometries, 2);
 }
 
 }  // namespace

@@ -295,6 +295,11 @@ TEST(Obs2d, TracingOnOffIsBitIdentical) {
             ev.args.find("\"plan\":\"row\"") != std::string::npos;
         EXPECT_NE(column, row) << ev.args;
         EXPECT_NE(ev.args.find("\"wire_bytes\":"), std::string::npos);
+        // What the level's reduction hid of the row plan's wire legs.
+        if (row) {
+          EXPECT_NE(ev.args.find("\"hidden_ns\":"), std::string::npos)
+              << ev.args;
+        }
         if (r == 0) ++plan_spans[row ? 1 : 0];
         ++named;
       }

@@ -1,9 +1,11 @@
 // The world reductions a traversal pays, as a checked property. The design
 // predicts, per rank: one for the root set-up, one per level (the level
 // loop's stats reduction, whatever words the traversal fills) and one per
-// presence exchange. A codec-gated 1-D run adds at most one trial
-// reduction per gated bitmap leg, a 2-D run at most one per exchange (one
-// gate covers all its legs); the list exchanges add none.
+// presence exchange. The 2-D skips the set-up reduction wherever the
+// graph's largest degree would start top-down, since then every root does.
+// A codec-gated 1-D run adds at most one trial reduction per gated bitmap
+// leg, a 2-D run at most one per exchange (one gate covers all its legs);
+// the list exchanges add none.
 // sim::Counters::reductions counts one per rt::allreduce per rank, and the
 // run's profile_avg sums it over ranks.
 
@@ -13,9 +15,11 @@
 #include <vector>
 
 #include "bfs/config.hpp"
+#include "bfs/direction.hpp"
 #include "bfs2d/bfs2d.hpp"
 #include "engine/msbfs.hpp"
 #include "engine/programs.hpp"
+#include "graph/validate.hpp"
 #include "harness/graph500.hpp"
 
 namespace numabfs {
@@ -54,16 +58,52 @@ TEST(Reductions, OneDPaysOnePerRootAndLevel) {
   }
 }
 
-TEST(Reductions, TwoDPaysOnePerRootAndLevel) {
+TEST(Reductions, TwoDPaysOnePerLevel) {
   harness::Experiment e = experiment();
   const auto grid = bfs2d::Grid2d::make(bundle().csr.num_vertices(),
                                         kNodes * kPpn, kPpn);
   const auto d2 = bfs2d::DistGraph2d::build(bundle().csr, grid);
+  // The R-MAT graph's hubs hold a small share of its edges, so every root
+  // starts top-down and no set-up reduction runs.
+  ASSERT_EQ(bfs::Beamer{}.first(d2.max_degree,
+                                d2.directed_edges - d2.max_degree),
+            0);
   bfs2d::Bfs2dOptions hier;
   hier.hier = rt::coll_model::HierLevel::node;
   const auto r = bfs2d::run_bfs_2d(e.cluster(), d2, bundle().roots[0],
                                    nullptr, hier);
-  EXPECT_EQ(reductions(r.profile_avg), kRanks * (1 + levels(r.levels)));
+  EXPECT_EQ(r.directions.front(), 0);
+  EXPECT_EQ(reductions(r.profile_avg), kRanks * levels(r.levels));
+}
+
+TEST(Reductions, TwoDKeepsTheSetUpReductionWhereARootMayStartBottomUp) {
+  // A star: the hub holds half the directed edges, past Beamer's E/15, so
+  // the set-up reduction runs for every root and decides level 0 from the
+  // root's own degree: bottom-up from the hub, top-down from a leaf.
+  constexpr graph::Vertex kN = 512;
+  std::vector<graph::Edge> edges;
+  for (graph::Vertex v = 1; v < kN; ++v) edges.push_back({0, v});
+  const graph::Csr star = graph::Csr::from_edges(kN, edges);
+  const auto grid = bfs2d::Grid2d::make(kN, kNodes * kPpn, kPpn);
+  const auto d2 = bfs2d::DistGraph2d::build(star, grid);
+  ASSERT_EQ(d2.max_degree, kN - 1);
+  ASSERT_GT(d2.max_degree * 15, d2.directed_edges);
+
+  harness::Experiment e = experiment();
+  const bfs::Beamer beamer;
+  for (const graph::Vertex root : {graph::Vertex{0}, graph::Vertex{7}}) {
+    std::vector<graph::Vertex> parent;
+    const auto r = bfs2d::run_bfs_2d(e.cluster(), d2, root, &parent);
+    const auto v = graph::validate_bfs_tree(star, root, parent);
+    ASSERT_TRUE(v.ok) << v.error;
+    const std::uint64_t deg = star.degree(root);
+    EXPECT_EQ(r.directions.front(),
+              beamer.first(deg, d2.directed_edges - deg))
+        << "root " << root;
+    EXPECT_EQ(r.directions.front(), root == 0 ? 1 : 0) << "root " << root;
+    EXPECT_EQ(reductions(r.profile_avg), kRanks * (1 + levels(r.levels)))
+        << "root " << root;
+  }
 }
 
 TEST(Reductions, WaveAddsOnePerPresenceExchange) {
@@ -113,7 +153,8 @@ TEST(Reductions, GatedRunsAddAtMostOneTrialPerBitmapLeg) {
                                     nullptr, coded);
   // One gate per exchange covers every leg the frontier pieces ride; level
   // 0's inputs are seeded without one, and the last level never exchanges.
-  const std::uint64_t base2 = 1 + levels(r2.levels);
+  // No root of this graph needs the set-up reduction.
+  const std::uint64_t base2 = levels(r2.levels);
   EXPECT_GE(reductions(r2.profile_avg), kRanks * base2);
   EXPECT_LE(reductions(r2.profile_avg),
             kRanks * (base2 + levels(r2.levels) - 1));
