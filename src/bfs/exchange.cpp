@@ -519,8 +519,7 @@ ExchangeTimes exchange_frontier(rt::Proc& p, const graph::DistGraph& dg,
 
 ExchangeLevelStats OneDExchange::exchange(rt::Proc& p, int cur_dir,
                                           int next_dir, std::uint64_t nf,
-                                          std::span<const int> parts,
-                                          double /*reduce_ns*/) {
+                                          std::span<const int> parts) {
   ExchangeLevelStats s;
   if (next_dir == 1) {
     // Next level searches bottom-up: it needs the in_queue bitmap. A

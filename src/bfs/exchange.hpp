@@ -213,41 +213,25 @@ void decode_bitmap_checked(std::span<const std::uint8_t> in,
                            std::span<std::uint64_t> words, const char* what,
                            int src_rank);
 
-// --- unified frontier-exchange interface (DESIGN.md §13) -----------------
+// --- the 1-D level exchange (DESIGN.md §13) -------------------------------
 
-/// The communication step between two BFS levels, behind which both the
-/// 1-D hybrid and the 2-D grid decomposition sit: rebuild the next level's
-/// frontier inputs from the per-rank outputs of the level just finished.
-/// SPMD — every live rank calls exchange() with the same (cur, next)
-/// directions (0 = top-down, 1 = bottom-up) and the same `nf`, the size of
-/// the next frontier from the level's reduced stats (the bitmap gates'
-/// popcount); `parts` lists the caller's partitions (own plus adopted).
-/// `reduce_ns` is the latency that stats reduction charged (Level::
-/// reduce_ns): legs whose content and wire format need neither its result
-/// nor the next direction may be modeled as posted beside it (the 2-D row
-/// plan's are; the 1-D hides none). Implementations route every leg
-/// through the shared codec gates and K-chunk wire/decode pipelining.
-class FrontierExchange {
- public:
-  virtual ~FrontierExchange() = default;
-  virtual const char* name() const = 0;
-  virtual ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                                      std::uint64_t nf,
-                                      std::span<const int> parts,
-                                      double reduce_ns) = 0;
-};
-
-/// The 1-D hybrid's exchange: sparse-list allgatherv before a top-down
-/// level, the two bitmap allgathers of Fig. 1 before a bottom-up level
-/// (materializing the discovered list into out bits on a td -> bu switch).
-class OneDExchange final : public FrontierExchange {
+/// The communication step between two levels of the 1-D hybrid: rebuild
+/// the next level's frontier inputs from the per-rank outputs of the level
+/// just finished. Sparse-list allgatherv before a top-down level, the two
+/// bitmap allgathers of Fig. 1 before a bottom-up level (materializing the
+/// discovered list into out bits on a td -> bu switch). SPMD: every live
+/// rank calls exchange() with the same (cur, next) directions (0 =
+/// top-down, 1 = bottom-up) and the same `nf`, the size of the next
+/// frontier from the level's reduced stats (the bitmap gate's popcount);
+/// `parts` lists the caller's partitions (own plus adopted). The 2-D
+/// counterpart is bfs2d::TwoDExchange; both route every leg through the
+/// shared codec gates and K-chunk wire/decode pipelining.
+class OneDExchange {
  public:
   OneDExchange(const graph::DistGraph& dg, DistState& st, const UnitCosts& u)
       : dg_(dg), st_(st), u_(u) {}
-  const char* name() const override { return "1d"; }
   ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
-                              std::uint64_t nf, std::span<const int> parts,
-                              double reduce_ns) override;
+                              std::uint64_t nf, std::span<const int> parts);
 
  private:
   const graph::DistGraph& dg_;

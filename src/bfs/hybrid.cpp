@@ -282,9 +282,9 @@ BfsRunResult run_bfs(rt::Cluster& c, const graph::DistGraph& dg, DistState& st,
 
       // The bitmap allgathers belong to the bottom-up procedure (Fig. 1);
       // the sparse list exchange is the top-down queue handoff. Both sit
-      // behind the unified FrontierExchange interface (DESIGN.md §13).
+      // behind OneDExchange (DESIGN.md §13).
       const ExchangeLevelStats ex =
-          exchanger.exchange(p, dir, next, nf, lv.parts, lv.reduce_ns);
+          exchanger.exchange(p, dir, next, nf, lv.parts);
       p.trace_instant(obs::kCatBfs, "codec.gate",
                       gate_trace_args(lv.number, ex));
       if (lv.recorder) {

@@ -97,11 +97,13 @@ void LevelLoop::run(rt::Proc& p, int level, const LevelHooks& h, bool more) {
       if (p.rank == inj_->lowest_live())
         recoveries_.fetch_add(1, std::memory_order_relaxed);
       p.barrier(world, sim::Phase::stall);  // rollback complete everywhere
-      if (h.after_rollback) h.after_rollback(parts);
+      // Recorded before the hook, so the spans the hook records (the 2-D
+      // input rebuild) follow it on the rank's track.
       p.trace_span(opt_.trace_cat, "recovery.rollback", lv.t0,
                    p.clock.now_ns(),
                    obs::kv("level", level) + "," +
                        obs::kv("parts", static_cast<int>(parts.size())));
+      if (h.after_rollback) h.after_rollback(parts);
       continue;  // re-run the level
     }
     is_recorder = p.rank == recorder();

@@ -1,9 +1,9 @@
 #pragma once
 /// \file exchange2d.hpp
-/// The 2-D decomposition's communication legs behind the unified
-/// FrontierExchange interface (DESIGN.md §13). All traversal state lives in
-/// `State2d` — plain host-side vectors indexed by partition, visible to
-/// every rank (the simulated address spaces are private by
+/// The 2-D decomposition's communication legs, the counterpart of the
+/// 1-D hybrid's bfs::OneDExchange (DESIGN.md §13). All traversal state
+/// lives in `State2d` — plain host-side vectors indexed by partition,
+/// visible to every rank (the simulated address spaces are private by
 /// convention); barriers separate the write and read phases exactly like
 /// the 1-D exchanges.
 ///
@@ -131,13 +131,11 @@ struct LegBytes {
 
 /// One rank's view of the 2-D exchange. SPMD: every live rank constructs
 /// its own instance and calls the legs in lockstep.
-class TwoDExchange final : public bfs::FrontierExchange {
+class TwoDExchange {
  public:
   TwoDExchange(const DistGraph2d& dg, State2d& st,
                std::span<const bfs::UnitCosts> costs, const Bfs2dOptions& opt)
       : dg_(dg), st_(st), costs_(costs), opt_(opt) {}
-
-  const char* name() const override { return "2d"; }
 
   /// Rebuild the col-band frontier inputs of a level about to run `dir`
   /// after a rollback restored its frontier pieces: the codec-gated column
@@ -152,15 +150,17 @@ class TwoDExchange final : public bfs::FrontierExchange {
   /// (the communication tail of the level's kernel).
   FoldStats fold(rt::Proc& p, int dir, std::span<const int> parts);
 
-  /// FrontierExchange: advance the frontier, then build the col-band
+  /// The level exchange: advance the frontier, then build the col-band
   /// inputs for `next_dir` by the picked plan (pick_plan), keeping the
   /// row-band visited replicas current when the next level is bottom-up
-  /// (the row leg, or the full rebuild on a td -> bu switch). Row-plan wire
-  /// legs that can be posted beside the level's stats reduction hide under
-  /// its `reduce_ns` (see the file comment).
+  /// (the row leg, or the full rebuild on a td -> bu switch). SPMD, with
+  /// the arguments of bfs::OneDExchange::exchange plus `reduce_ns`, the
+  /// latency the level's stats reduction charged (bfs::Level::reduce_ns):
+  /// row-plan wire legs that can be posted beside that reduction hide
+  /// under it (see the file comment).
   bfs::ExchangeLevelStats exchange(rt::Proc& p, int cur_dir, int next_dir,
                                    std::uint64_t nf, std::span<const int> parts,
-                                   double reduce_ns) override;
+                                   double reduce_ns);
 
   LegBytes& legs() { return legs_; }
   void reset_legs() { legs_ = LegBytes{}; }

@@ -13,26 +13,21 @@
 namespace numabfs::graph {
 
 /// Duplicate-edge semantics and row order of Csr::from_edges (DESIGN.md
-/// §5, §14).
+/// §5, §14). The CSR is the construction and reference format; the order
+/// the bottom-up kernels read is the slices' (DistGraph::build lists every
+/// row hub-first, whatever the policy).
 ///
 /// The frozen Graph500 path keeps parallel edges exactly as generated
 /// (`keep_multiplicity`): TEPS counts every adjacency entry, as in the
-/// reference code. Its rows are hub-first: ordered by descending degree
-/// class of the neighbour (std::bit_width of the neighbour's degree), in
-/// generation order within a class. A bottom-up search stops at its first
-/// neighbour in the frontier, so a row that lists hubs first stops
-/// sooner. The set of vertices a BFS level discovers does not depend on
-/// which parent each vertex takes, so levels, frontiers, directions and
-/// exchanged bytes are those of any other row order; only the bottom-up
-/// probes, the parents chosen and the time they take change.
+/// reference code, and rows list their entries in generation order.
 ///
 /// The mutating path needs *set* semantics (`sorted_dedup`): rows are
 /// sorted ascending and parallel edges collapse to one entry, so that
 /// delete-then-reinsert of an edge round-trips every degree to its prior
 /// value, and a delta-merged view is bit-identical to a from-scratch
-/// rebuild (both produce the same sorted, duplicate-free rows — parent
-/// selection in the kernels depends on row order, and the merge finds
-/// entries by binary search).
+/// rebuild (both order the same sorted, duplicate-free rows the same way —
+/// parent selection in the kernels depends on row order, and the merge
+/// finds entries by binary search).
 enum class EdgePolicy {
   keep_multiplicity,  ///< Graph500 reference semantics (the default)
   sorted_dedup,       ///< canonical set semantics for the dynamic layer
@@ -44,9 +39,7 @@ class Csr {
   /// directions. Self-loops are dropped (they cannot contribute to a BFS
   /// tree); duplicate edges and row order follow `policy` (by default
   /// duplicates are kept, as in the Graph500 reference code, and rows are
-  /// hub-first). The hub-first pass runs on the executor's worker pool, so
-  /// a `keep_multiplicity` build must not be called from inside a rank (it
-  /// throws std::logic_error there).
+  /// in generation order).
   static Csr from_edges(std::uint64_t num_vertices, std::span<const Edge> edges,
                         EdgePolicy policy = EdgePolicy::keep_multiplicity);
 

@@ -6,9 +6,21 @@
 /// edges incident to it (the graph is undirected, so these are the same
 /// edge set, indexed two ways):
 ///  - bottom-up view: CSR over owned vertices v, listing global neighbors u
-///    ("search for a parent", Beamer et al.);
+///    ("search for a parent", Beamer et al.), hub-first (below);
 ///  - top-down view: the same pairs grouped by the non-owned endpoint u,
 ///    so a frontier vertex u's owned children are found in one group scan.
+///
+/// Row order (DESIGN.md §5). A bottom-up search stops at its first
+/// neighbour in the frontier, and hubs are the neighbours most likely to
+/// be in it. So every bottom-up row holds its CSR row's entries by
+/// descending class of the neighbour under a vertex ranking, CSR order
+/// kept within a class; a ranking gives each vertex one class byte, by
+/// default std::bit_width of its degree (degree_classes). The set of
+/// vertices a BFS level discovers does not depend on which parent each
+/// vertex takes, so levels, frontiers, directions and exchanged bytes are
+/// those of any other row order; only the bottom-up probes, the parents
+/// chosen and the time they take change. Top-down groups list their
+/// targets ascending, whatever the CSR's order.
 ///
 /// Construction is host work that no rank's virtual clock sees (Graph500
 /// also excludes graph construction from TEPS). It is not only set-up: the
@@ -70,7 +82,7 @@ struct LocalGraph {
   std::vector<std::uint64_t> dirty_words;  ///< bitmap over owned vertices
   std::vector<std::uint64_t> dirty_rank;   ///< per-word dirty-popcount prefix
   std::vector<std::uint64_t> patch_offsets;  ///< size dirty_count+1
-  std::vector<Vertex> patch_adj;             ///< merged rows, sorted
+  std::vector<Vertex> patch_adj;             ///< merged rows, hub-first
   std::vector<TdRef> td_refs;         ///< one per merged td_keys entry
   std::vector<Vertex> patch_td_adj;   ///< patched group targets, sorted
   std::uint64_t merged_owned_edges = 0;
@@ -144,15 +156,43 @@ struct LocalGraph {
   }
 };
 
+/// One degree class per vertex: std::bit_width of its degree in `g`. The
+/// ranking DistGraph::build orders rows by unless the caller supplies one.
+std::vector<std::uint8_t> degree_classes(const Csr& g);
+
+/// Working space of order_rows_hub_first for rows of up to `longest`
+/// entries: the row's classes, and a copy of a row being placed.
+struct RowOrderScratch {
+  explicit RowOrderScratch(std::uint64_t longest = 0)
+      : cls(longest), tmp(longest) {}
+  std::vector<std::uint8_t> cls;
+  std::vector<Vertex> tmp;
+};
+
+/// Order every row of (`offsets`, `adj`) hub-first under `ranking`: by
+/// descending class of the neighbour, the current order kept within a
+/// class. Rows up to 24 entries are ordered by insertion sort, longer ones
+/// by a counting sort over their classes. `scratch` must hold the longest
+/// row.
+void order_rows_hub_first(std::span<const std::uint64_t> offsets,
+                          std::span<Vertex> adj,
+                          std::span<const std::uint8_t> ranking,
+                          RowOrderScratch& scratch);
+
 struct DistGraph {
   std::uint64_t n = 0;
   std::uint64_t directed_edges = 0;  ///< total adjacency entries (= 2m)
   Partition1D part{1, 1};
   std::vector<LocalGraph> locals;
 
-  /// Slice `g` by `part`, ranks spread over the executor pool. Throws
-  /// std::invalid_argument when the partition and the CSR disagree on the
-  /// vertex count. Must not be called from inside a rank.
+  /// Slice `g` by `part`, ranks spread over the executor pool, every
+  /// bottom-up row ordered hub-first under `ranking` (one class per
+  /// vertex; see the file comment). Throws std::invalid_argument when the
+  /// partition or the ranking and the CSR disagree on the vertex count.
+  /// Must not be called from inside a rank.
+  static DistGraph build(const Csr& g, const Partition1D& part,
+                         std::span<const std::uint8_t> ranking);
+  /// Ranked by `g`'s own degrees (degree_classes).
   static DistGraph build(const Csr& g, const Partition1D& part);
 };
 

@@ -72,8 +72,10 @@ struct RankPin {
   std::uint64_t visible = 0;  ///< records at or before the epoch
   std::uint64_t dirty = 0;    ///< distinct owned vertices among ovr
   std::uint64_t bu_cap = 0;   ///< bound on the merged dirty rows' entries
+  std::uint64_t longest = 0;  ///< bound on one merged dirty row's entries
   std::uint64_t td_cap = 0;   ///< bound on the patched groups' entries
   std::uint64_t patched_groups = 0;
+  graph::RowOrderScratch order;  ///< the merged rows' hub-first pass
   double ns = 0;  ///< the rank's modeled pin work
 };
 
@@ -86,13 +88,19 @@ void resolve_pin(const DeltaStore& st, const graph::LocalGraph& b,
     if (rec.epoch <= epoch) ++rp.visible;
   rp.ns = static_cast<double>(st.size()) * probe_work_ns;
   resolve_rank(st, epoch, rp.ovr);
+  std::uint64_t row = 0;  // bound on the current dirty row's entries
   for (std::size_t i = 0; i < rp.ovr.size(); ++i) {
     const Override& o = rp.ovr[i];
     if (i == 0 || o.key != rp.ovr[i - 1].key) {
       ++rp.dirty;
-      rp.bu_cap += b.degree(o.key - b.vbegin);
+      row = b.degree(o.key - b.vbegin);
+      rp.bu_cap += row;
     }
-    if (o.present) ++rp.bu_cap;
+    if (o.present) {
+      ++rp.bu_cap;
+      ++row;
+    }
+    rp.longest = std::max(rp.longest, row);
     rp.tdo.push_back({o.val, o.key, o.present});
   }
   std::sort(rp.tdo.begin(), rp.tdo.end(),
@@ -114,10 +122,13 @@ void resolve_pin(const DeltaStore& st, const graph::LocalGraph& b,
 }
 
 /// Second pass: materialize rank `b`'s merged view `lg` from its resolved
-/// overrides. `lg`'s bitmaps and patch offsets are sized, and its patch
-/// and group arrays reserved, from `rp`'s counts, so nothing here
-/// allocates.
-void build_merged_local(const graph::LocalGraph& b, RankPin& rp,
+/// overrides. Each dirty row merges into its canonical row of the base CSR
+/// `csr` (ascending, as merge_row needs), then takes the slices' hub-first
+/// order under `ranking`. `lg`'s bitmaps and patch offsets are sized, and
+/// its patch and group arrays and `rp.order` reserved, from `rp`'s counts,
+/// so nothing here allocates.
+void build_merged_local(const graph::LocalGraph& b, const graph::Csr& csr,
+                        std::span<const std::uint8_t> ranking, RankPin& rp,
                         graph::LocalGraph& lg, const sim::CostParams& cp) {
   const std::vector<Override>& ovr = rp.ovr;
   lg.vbegin = b.vbegin;
@@ -144,7 +155,7 @@ void build_merged_local(const graph::LocalGraph& b, RankPin& rp,
     std::size_t oj = oi;
     while (oj < ovr.size() && ovr[oj].key == v) ++oj;
     lg.patch_offsets[row] = lg.patch_adj.size();
-    merge_row(b.bu_neighbors(lv),
+    merge_row(csr.neighbors(v),
               std::span<const Override>(ovr).subspan(oi, oj - oi),
               lg.patch_adj);
     base_dirty_edges += b.degree(lv);
@@ -152,6 +163,8 @@ void build_merged_local(const graph::LocalGraph& b, RankPin& rp,
     oi = oj;
   }
   lg.patch_offsets[row] = lg.patch_adj.size();
+  graph::order_rows_hub_first(lg.patch_offsets, lg.patch_adj, ranking,
+                              rp.order);
   lg.merged_owned_edges =
       b.bu_adj.size() - base_dirty_edges + lg.patch_adj.size();
 
@@ -239,9 +252,10 @@ SnapshotManager::SnapshotManager(const rt::Cluster& cluster,
             "SnapshotManager: base CSR must be canonical (build it with "
             "EdgePolicy::sorted_dedup)");
   }
+  ranking_ = graph::degree_classes(base_csr);
   auto base = std::make_shared<BaseVersion>();
   base->epoch = 0;
-  base->dg = graph::DistGraph::build(base_csr, part_);
+  base->dg = graph::DistGraph::build(base_csr, part_, ranking_);
   base->csr = std::move(base_csr);
   base_ = std::move(base);
   stores_.reserve(static_cast<std::size_t>(part_.np()));
@@ -428,10 +442,12 @@ std::shared_ptr<const Snapshot> SnapshotManager::build_snapshot(
     lg.td_keys.reserve(b.td_keys.size() + rp[ri].tdo.size());
     lg.td_refs.reserve(b.td_keys.size() + rp[ri].tdo.size());
     lg.patch_td_adj.reserve(rp[ri].td_cap);
+    rp[ri].order = graph::RowOrderScratch(rp[ri].longest);
   }
   for_each_rank(np, [&](int r) {
     const auto ri = static_cast<std::size_t>(r);
-    build_merged_local(locals[ri], rp[ri], g.locals[ri], cp);
+    build_merged_local(locals[ri], base_->csr, ranking_, rp[ri],
+                       g.locals[ri], cp);
   });
 
   // Per-rank outputs reduced in rank order.
@@ -524,7 +540,7 @@ CompactionStats SnapshotManager::compact(double now_ns) {
 
   auto nb = std::make_shared<BaseVersion>();
   nb->epoch = epoch_;
-  nb->dg = graph::DistGraph::build(nc, part_);
+  nb->dg = graph::DistGraph::build(nc, part_, ranking_);
   nb->csr = std::move(nc);
   base_ = std::move(nb);
   for (DeltaStore& st : stores_) st.truncate_through(epoch_);

@@ -13,9 +13,12 @@
 /// Determinism contract: the base CSR is canonical (rows sorted, parallel
 /// edges collapsed — EdgePolicy::sorted_dedup), merged rows are sorted
 /// set-merges of base ⊕ deltas, and rebuild_csr() adopts those same
-/// canonical rows as a CSR. A BFS over a pinned merged view is therefore
-/// bit-identical to one over the slices built from the rebuilt CSR at
-/// that epoch; the only difference is the *measured* read amplification
+/// canonical rows as a CSR. The slices order those rows hub-first under
+/// one ranking, fixed when the manager is constructed (ranking()): the
+/// bases, the compactions and the merged views all use it. A pinned view
+/// at epoch E therefore equals DistGraph::build(rebuild_csr(E), part(),
+/// ranking()) row for row, and a BFS over it is bit-identical to one over
+/// those slices; the only difference is the *measured* read amplification
 /// (delta probes) the merged view charges.
 ///
 /// All costs are modeled in virtual time and returned to the caller (the
@@ -43,8 +46,9 @@ namespace numabfs::dyn {
 inline constexpr const char* kCatDyn = "dyn";
 
 /// One immutable base generation: the canonical CSR compacted at `epoch`
-/// plus the frozen per-rank slices built from it. Held via shared_ptr so
-/// merged views created before a compaction keep their base alive.
+/// plus the frozen per-rank slices built from it under the manager's
+/// ranking. Held via shared_ptr so merged views created before a
+/// compaction keep their base alive.
 struct BaseVersion {
   std::uint64_t epoch = 0;
   graph::Csr csr;
@@ -92,7 +96,8 @@ struct CompactionStats {
 class SnapshotManager {
  public:
   /// `base_csr` must be canonical (rows sorted and duplicate-free; build it
-  /// with EdgePolicy::sorted_dedup) — verified on construction. The cluster
+  /// with EdgePolicy::sorted_dedup) — verified on construction. Its degree
+  /// classes become the manager's ranking for its lifetime. The cluster
   /// provides topology and cost parameters for the virtual-time model;
   /// tracer/metrics are optional sinks.
   SnapshotManager(const rt::Cluster& cluster, graph::Csr base_csr,
@@ -105,6 +110,11 @@ class SnapshotManager {
   const BaseVersion& base() const { return *base_; }
   std::shared_ptr<const BaseVersion> base_ptr() const { return base_; }
   const graph::Partition1D& part() const { return part_; }
+  /// The ranking every slice and view orders its bottom-up rows by: the
+  /// degree classes of the construction-time base (graph::degree_classes).
+  /// It is not updated as degrees drift, so that a view is a function of
+  /// its epoch alone, whenever compaction ran.
+  std::span<const std::uint8_t> ranking() const { return ranking_; }
 
   std::uint64_t live_records() const;
   std::uint64_t live_bytes() const;
@@ -158,6 +168,7 @@ class SnapshotManager {
 
   const rt::Cluster& cluster_;
   graph::Partition1D part_;
+  std::vector<std::uint8_t> ranking_;
   std::shared_ptr<const BaseVersion> base_;
   std::vector<DeltaStore> stores_;
   std::uint64_t epoch_ = 0;

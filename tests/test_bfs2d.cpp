@@ -448,8 +448,9 @@ struct ExpandSpan {
   double hidden_ns = 0;
 };
 
-/// Rank `rank`'s expand and recovery spans in start order: a recovery span
-/// starts at the crashed level's entry, before the rebuild it runs.
+/// Rank `rank`'s expand and recovery spans in track order, which must be
+/// start order: a recovery span starts at the crashed level's entry and is
+/// recorded when the rollback completes, before the rebuild it runs.
 std::vector<ExpandSpan> expand_spans(const obs::Tracer& tr, int rank) {
   std::vector<ExpandSpan> out;
   for (const auto& ev : tr.track(rank)) {
@@ -469,10 +470,8 @@ std::vector<ExpandSpan> expand_spans(const obs::Tracer& tr, int rank) {
          .hidden_ns =
              std::strtod(ev.args.c_str() + at + kHidden.size(), nullptr)});
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ExpandSpan& a, const ExpandSpan& b) {
-                     return a.t0 < b.t0;
-                   });
+  for (std::size_t i = 1; i < out.size(); ++i)
+    EXPECT_LE(out[i - 1].t0, out[i].t0) << "rank " << rank << " span " << i;
   return out;
 }
 

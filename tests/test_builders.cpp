@@ -4,9 +4,10 @@
 // and group order, so a reordering inside a group changes BFS trees and
 // virtual time even though every edge-conservation test still passes.
 // The inputs are large enough that every builder splits its work over
-// several pool workers. The keep_multiplicity bu_adj digests are of
-// hub-first rows (csr.hpp); the top-down views and the 2-D blocks sort
-// their entries by key, so row order does not reach them.
+// several pool workers. The bu_adj digests are of hub-first rows
+// (dist_graph.hpp), ranked by the CSR's own degrees; the top-down views
+// and the 2-D blocks sort their entries by key, so row order does not
+// reach them.
 
 #include <gtest/gtest.h>
 
@@ -114,7 +115,7 @@ TEST(BuilderPins, DistGraphRaggedPartition) {
                   0x85b90a2c5e86607aull, 0x955ed37058e6638cull});
   expect_digests(rmat_csr(12, 16, 20120924, EdgePolicy::sorted_dedup), 7,
                  {0xa5784e82e3864107ull, 0x5542a93720dd0ee3ull,
-                  0x38bd00a362f384f7ull, 0xcd6deca8f09ef64dull,
+                  0xb71aeffe221c18b7ull, 0xcd6deca8f09ef64dull,
                   0x7e517730217a776eull, 0xd81ca637d2f840c1ull});
 }
 
@@ -126,7 +127,7 @@ TEST(BuilderPins, DistGraphTrailingRanksOwnNothing) {
                   0xe6d5a8da5ec1de72ull, 0x2c532e8ec203d109ull});
   expect_digests(rmat_csr(10, 16, 7, EdgePolicy::sorted_dedup), 24,
                  {0x4c69e5820df122afull, 0x18f3846245aa7286ull,
-                  0x08c403130237294eull, 0x88f5a75c125fc82aull,
+                  0x85004aacad3f4fe0ull, 0x88f5a75c125fc82aull,
                   0x27ad4db93d3455e4ull, 0x306c97b455521d35ull});
 }
 
@@ -181,6 +182,21 @@ TEST(BuilderInputs, DistGraphRejectsAPartitionOfAnotherSize) {
   for (const std::uint64_t n : {2048u, 1000u}) {
     const std::string err = invalid_argument_of(
         [&] { DistGraph::build(g, Partition1D(n, 4)); });
+    EXPECT_NE(err.find(std::to_string(n)), std::string::npos) << err;
+    EXPECT_NE(err.find("1024"), std::string::npos) << err;
+  }
+}
+
+TEST(BuilderInputs, DistGraphRejectsARankingOfAnotherSize) {
+  // A shorter ranking would be read past its end by the row pass; a longer
+  // one belongs to another graph.
+  const Csr g = rmat_csr(10, 8, 7);
+  const Partition1D part(g.num_vertices(), 4);
+  for (const std::size_t n : {1000u, 2048u}) {
+    const std::vector<std::uint8_t> ranking(n, 1);
+    const std::string err =
+        invalid_argument_of([&] { DistGraph::build(g, part, ranking); });
+    EXPECT_NE(err.find("ranking"), std::string::npos) << err;
     EXPECT_NE(err.find(std::to_string(n)), std::string::npos) << err;
     EXPECT_NE(err.find("1024"), std::string::npos) << err;
   }

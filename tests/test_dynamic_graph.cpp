@@ -1,9 +1,10 @@
 /// \file test_dynamic_graph.cpp
 /// Property tests of the dynamic graph layer (DESIGN.md §14). The central
 /// contract: a query served against a pinned merged view (base ⊕ deltas at
-/// epoch E) is bit-identical to the same query served against a CSR
-/// rebuilt from scratch at E — across the 1-D hybrid kernel, the 2-D
-/// engine, the MS-BFS wave kernel, and under a chaos fault plan. Plus a
+/// epoch E) is bit-identical to the same query served against the slices
+/// of a CSR rebuilt from scratch at E, ordered by the manager's ranking —
+/// across the 1-D hybrid kernel, the 2-D engine, the MS-BFS wave kernel,
+/// and under a chaos fault plan. Plus a
 /// delta-store fuzz against a reference shadow map with interleaved
 /// inserts, deletes and compactions.
 
@@ -210,19 +211,28 @@ TEST(Snapshot, MergedRowsMatchRebuiltCsr) {
   const auto snap = mgr.pin(mgr.epoch());
   EXPECT_GT(snap->deltas_applied, 0u);
   EXPECT_GT(snap->patched_rows, 0u);
-  const Csr want = mgr.rebuild_csr(snap->epoch);
+  const Csr rebuilt = mgr.rebuild_csr(snap->epoch);
+  const graph::DistGraph want =
+      graph::DistGraph::build(rebuilt, part, mgr.ranking());
   const graph::DistGraph& dg = snap->dg();
+  int reordered = 0;  // merged rows whose order is not the CSR's
   for (int r = 0; r < c.nranks(); ++r) {
     const auto& lg = dg.locals[static_cast<std::size_t>(r)];
+    const auto& w = want.locals[static_cast<std::size_t>(r)];
     for (std::uint64_t lv = 0; lv < lg.vend - lg.vbegin; ++lv) {
       const Vertex v = static_cast<Vertex>(lg.vbegin + lv);
       const auto got = lg.bu_neighbors(lv);
-      const auto ref = want.neighbors(v);
+      const auto ref = w.bu_neighbors(lv);
       ASSERT_EQ(got.size(), ref.size()) << "vertex " << v;
       ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin(), ref.end()))
           << "vertex " << v;
+      const auto canon = rebuilt.neighbors(v);
+      if (lg.is_dirty(lv) && !std::equal(got.begin(), got.end(),
+                                         canon.begin(), canon.end()))
+        ++reordered;
     }
   }
+  EXPECT_GT(reordered, 0);  // the merged rows are hub-first, not ascending
 }
 
 TEST(Snapshot, PinnedEpochSurvivesCompaction) {
@@ -233,7 +243,9 @@ TEST(Snapshot, PinnedEpochSurvivesCompaction) {
   ingest_epochs(mgr, 2, 500);
 
   const std::uint64_t e1 = mgr.epoch();
-  const Csr at_e1 = mgr.rebuild_csr(e1);  // reference taken BEFORE compaction
+  // Reference taken BEFORE compaction.
+  const graph::DistGraph at_e1 =
+      graph::DistGraph::build(mgr.rebuild_csr(e1), part, mgr.ranking());
   const auto snap = mgr.pin(e1);
 
   ingest_epochs(mgr, 2, 500, 99);
@@ -248,10 +260,11 @@ TEST(Snapshot, PinnedEpochSurvivesCompaction) {
   const graph::DistGraph& dg = snap->dg();
   for (int r = 0; r < c.nranks(); ++r) {
     const auto& lg = dg.locals[static_cast<std::size_t>(r)];
+    const auto& w = at_e1.locals[static_cast<std::size_t>(r)];
     for (std::uint64_t lv = 0; lv < lg.vend - lg.vbegin; ++lv) {
       const Vertex v = static_cast<Vertex>(lg.vbegin + lv);
       const auto got = lg.bu_neighbors(lv);
-      const auto ref = at_e1.neighbors(v);
+      const auto ref = w.bu_neighbors(lv);
       ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin(), ref.end()))
           << "vertex " << v;
     }
@@ -343,8 +356,9 @@ TEST(Snapshot, RepinOfAnUnchangedEpochReusesTheLiveView) {
 }
 
 /// The pinned view at every epoch, across compactions, equals the slices
-/// built from the CSR rebuilt at that epoch through every read the kernels
-/// make: bottom-up rows, degrees, top-down keys and groups, edge counts.
+/// built from the CSR rebuilt at that epoch under the manager's ranking
+/// through every read the kernels make: bottom-up rows, degrees, top-down
+/// keys and groups, edge counts.
 TEST(Snapshot, PinnedViewMatchesFreshSlicesAcrossCompactions) {
   const Cluster c = make_cluster();
   const auto p = base_params();
@@ -365,7 +379,7 @@ TEST(Snapshot, PinnedViewMatchesFreshSlicesAcrossCompactions) {
       const auto snap = mgr.pin(at);
       const graph::DistGraph& got = snap->dg();
       const graph::DistGraph want =
-          graph::DistGraph::build(mgr.rebuild_csr(at), part);
+          graph::DistGraph::build(mgr.rebuild_csr(at), part, mgr.ranking());
       if (snap->patched_rows > 0) ++merged;
       ASSERT_EQ(got.n, want.n);
       ASSERT_EQ(got.directed_edges, want.directed_edges) << "epoch " << at;
@@ -446,7 +460,8 @@ TEST(DynamicBfs, HybridBitIdenticalToRebuildAtPinnedEpoch) {
   ingest_epochs(w.mgr, 3, 700);
   const auto snap = w.mgr.pin(w.mgr.epoch());
   const Csr rebuilt = w.mgr.rebuild_csr(snap->epoch);
-  const graph::DistGraph ref_dg = graph::DistGraph::build(rebuilt, w.part);
+  const graph::DistGraph ref_dg =
+      graph::DistGraph::build(rebuilt, w.part, w.mgr.ranking());
 
   const bfs::Config cfg = bfs::share_all();
   const Vertex root = first_live_root(rebuilt);

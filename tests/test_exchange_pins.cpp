@@ -24,8 +24,8 @@
 // overlap_saved), and with no set-up reduction where the largest degree
 // starts top-down. Under paper scaling the reductions are nearly free, so
 // only the 16-node pin shows the hiding at size. The 1-D and wave digests
-// were recorded on hub-first rows (csr.hpp), which move bottom-up compute
-// and the stall and time that follow it, never bytes.
+// were recorded on hub-first rows (dist_graph.hpp), which move bottom-up
+// compute and the stall and time that follow it, never bytes.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <iterator>
 #include <numeric>
 #include <span>
@@ -40,79 +39,6 @@ TEST(Csr, KeepsDuplicateEdges) {
   const Csr g = Csr::from_edges(2, edges);
   EXPECT_EQ(g.degree(0), 3u);
   EXPECT_EQ(g.degree(1), 3u);
-}
-
-/// Generation-order rows: a plain scatter of `edges`, self-loops dropped.
-std::vector<std::vector<Vertex>> scatter_rows(std::uint64_t n,
-                                              std::span<const Edge> edges) {
-  std::vector<std::vector<Vertex>> rows(n);
-  for (const Edge& e : edges) {
-    if (e.u == e.v) continue;
-    rows[e.u].push_back(e.v);
-    rows[e.v].push_back(e.u);
-  }
-  return rows;
-}
-
-/// Every row of `g` is its generation-order row, reordered by degree class
-/// of the neighbour (never increasing along the row) and kept in
-/// generation order within a class.
-void expect_hub_first(const Csr& g, std::span<const Edge> edges) {
-  const auto gen = scatter_rows(g.num_vertices(), edges);
-  const auto cls = [&](Vertex u) {
-    return static_cast<int>(std::bit_width(g.degree(u)));
-  };
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto row = g.neighbors(v);
-    ASSERT_TRUE(std::is_permutation(row.begin(), row.end(), gen[v].begin(),
-                                    gen[v].end()))
-        << "row " << v;
-    for (std::size_t i = 1; i < row.size(); ++i)
-      ASSERT_GE(cls(row[i - 1]), cls(row[i])) << "row " << v << " at " << i;
-    for (int c = 0; c <= 64; ++c) {
-      std::vector<Vertex> got, want;
-      std::copy_if(row.begin(), row.end(), std::back_inserter(got),
-                   [&](Vertex u) { return cls(u) == c; });
-      std::copy_if(gen[v].begin(), gen[v].end(), std::back_inserter(want),
-                   [&](Vertex u) { return cls(u) == c; });
-      ASSERT_EQ(got, want) << "row " << v << " class " << c;
-    }
-  }
-}
-
-TEST(Csr, KeepMultiplicityRowsAreHubFirst) {
-  // Degrees 6, 3, 4, 1, 2, 1, 1: classes 3, 2, 3, 1, 2, 1, 1.
-  const std::vector<Edge> edges = {{2, 3}, {2, 1}, {2, 0}, {0, 1}, {0, 4},
-                                   {0, 5}, {0, 6}, {1, 4}, {3, 3}, {2, 0}};
-  const Csr g = Csr::from_edges(7, edges);
-  const auto row = [&](Vertex v) {
-    const auto r = g.neighbors(v);
-    return std::vector<Vertex>(r.begin(), r.end());
-  };
-  EXPECT_EQ(row(0), (std::vector<Vertex>{2, 2, 1, 4, 5, 6}));
-  EXPECT_EQ(row(1), (std::vector<Vertex>{2, 0, 4}));
-  EXPECT_EQ(row(2), (std::vector<Vertex>{0, 0, 1, 3}));
-  EXPECT_EQ(row(4), (std::vector<Vertex>{0, 1}));
-  expect_hub_first(g, edges);
-
-  // R-MAT rows run from one entry to far past the insertion-sort cutoff,
-  // so both the short-row and the long-row ordering are exercised.
-  RmatParams p;
-  p.scale = 12;
-  p.edgefactor = 16;
-  const auto rmat = rmat_edges(p);
-  expect_hub_first(Csr::from_edges(p.num_vertices(), rmat), rmat);
-
-  // Set semantics keep canonical rows: strictly ascending.
-  const Csr s =
-      Csr::from_edges(p.num_vertices(), rmat, EdgePolicy::sorted_dedup);
-  for (Vertex v = 0; v < s.num_vertices(); ++v) {
-    const auto r = s.neighbors(v);
-    EXPECT_TRUE(std::adjacent_find(r.begin(), r.end(), [](Vertex a, Vertex b) {
-                  return a >= b;
-                }) == r.end())
-        << "row " << v;
-  }
 }
 
 TEST(Csr, SortedDedupCanonicalizesRows) {
@@ -195,6 +121,107 @@ TEST(Partition, EqualBlocksForPowerOfTwo) {
 
 // --- DistGraph -------------------------------------------------------------
 
+/// Generation-order rows: a plain scatter of `edges`, self-loops dropped.
+std::vector<std::vector<Vertex>> scatter_rows(std::uint64_t n,
+                                              std::span<const Edge> edges) {
+  std::vector<std::vector<Vertex>> rows(n);
+  for (const Edge& e : edges) {
+    if (e.u == e.v) continue;
+    rows[e.u].push_back(e.v);
+    rows[e.v].push_back(e.u);
+  }
+  return rows;
+}
+
+/// Every row of `g`, as plain vectors.
+std::vector<std::vector<Vertex>> csr_rows(const Csr& g) {
+  std::vector<std::vector<Vertex>> rows;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto r = g.neighbors(v);
+    rows.emplace_back(r.begin(), r.end());
+  }
+  return rows;
+}
+
+/// Every bottom-up row of `d` holds the entries of the same row of `ref`,
+/// reordered by class of the neighbour under `cls` (never increasing along
+/// the row) and kept in `ref`'s order within a class.
+void expect_hub_first(const DistGraph& d,
+                      const std::vector<std::vector<Vertex>>& ref,
+                      std::span<const std::uint8_t> cls) {
+  for (const LocalGraph& lg : d.locals)
+    for (std::uint64_t lv = 0; lv < lg.owned(); ++lv) {
+      const auto v = static_cast<Vertex>(lg.vbegin + lv);
+      const auto row = lg.bu_neighbors(lv);
+      const auto& want = ref[v];
+      ASSERT_TRUE(std::is_permutation(row.begin(), row.end(), want.begin(),
+                                      want.end()))
+          << "row " << v;
+      for (std::size_t i = 1; i < row.size(); ++i)
+        ASSERT_GE(cls[row[i - 1]], cls[row[i]]) << "row " << v << " at " << i;
+      for (int c = 0; c <= 64; ++c) {
+        std::vector<Vertex> got, in_ref;
+        std::copy_if(row.begin(), row.end(), std::back_inserter(got),
+                     [&](Vertex u) { return cls[u] == c; });
+        std::copy_if(want.begin(), want.end(), std::back_inserter(in_ref),
+                     [&](Vertex u) { return cls[u] == c; });
+        ASSERT_EQ(got, in_ref) << "row " << v << " class " << c;
+      }
+    }
+}
+
+TEST(DistGraph, BottomUpRowsAreHubFirstUnderBothPolicies) {
+  // Degrees 6, 3, 4, 1, 2, 1, 1: classes 3, 2, 3, 1, 2, 1, 1.
+  const std::vector<Edge> edges = {{2, 3}, {2, 1}, {2, 0}, {0, 1}, {0, 4},
+                                   {0, 5}, {0, 6}, {1, 4}, {3, 3}, {2, 0}};
+  const Csr g = Csr::from_edges(7, edges);
+  const DistGraph d = DistGraph::build(g, Partition1D(7, 3));
+  const auto row = [&](Vertex v) {
+    const auto r = d.locals[0].bu_neighbors(v);
+    return std::vector<Vertex>(r.begin(), r.end());
+  };
+  EXPECT_EQ(row(0), (std::vector<Vertex>{2, 2, 1, 4, 5, 6}));
+  EXPECT_EQ(row(1), (std::vector<Vertex>{2, 0, 4}));
+  EXPECT_EQ(row(2), (std::vector<Vertex>{0, 0, 1, 3}));
+  EXPECT_EQ(row(4), (std::vector<Vertex>{0, 1}));
+  EXPECT_EQ(csr_rows(g), scatter_rows(7, edges));  // the CSR keeps its order
+
+  // A supplied ranking replaces the degree classes: here the vertex id.
+  const std::vector<std::uint8_t> by_id = {0, 1, 2, 3, 4, 5, 6};
+  const DistGraph ranked = DistGraph::build(g, Partition1D(7, 3), by_id);
+  const auto r0 = ranked.locals[0].bu_neighbors(0);
+  EXPECT_EQ(std::vector<Vertex>(r0.begin(), r0.end()),
+            (std::vector<Vertex>{6, 5, 4, 2, 2, 1}));
+  expect_hub_first(ranked, csr_rows(g), by_id);
+
+  // R-MAT rows run from one entry to far past the insertion-sort cutoff,
+  // so both the short-row and the long-row ordering are exercised, over a
+  // partition whose ranks the pool splits between its workers.
+  RmatParams p;
+  p.scale = 12;
+  p.edgefactor = 16;
+  const auto rmat = rmat_edges(p);
+  const Partition1D part(p.num_vertices(), 7);
+  const Csr keep = Csr::from_edges(p.num_vertices(), rmat);
+  const auto gen = scatter_rows(p.num_vertices(), rmat);
+  EXPECT_EQ(csr_rows(keep), gen);
+  expect_hub_first(DistGraph::build(keep, part), gen, degree_classes(keep));
+
+  // Set semantics keep canonical CSR rows, strictly ascending; the slices
+  // order them hub-first all the same, ascending within a class.
+  const Csr s =
+      Csr::from_edges(p.num_vertices(), rmat, EdgePolicy::sorted_dedup);
+  for (Vertex v = 0; v < s.num_vertices(); ++v) {
+    const auto r = s.neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(r.begin(), r.end(), [](Vertex a, Vertex b) {
+                  return a >= b;
+                }) == r.end())
+        << "row " << v;
+  }
+  expect_hub_first(DistGraph::build(s, part), csr_rows(s),
+                   degree_classes(s));
+}
+
 TEST(DistGraph, PreservesAllEdgesBothViews) {
   RmatParams p;
   p.scale = 10;
@@ -232,14 +259,10 @@ TEST(DistGraph, BottomUpRowsMatchCsr) {
   const Csr g = Csr::from_edges(p.num_vertices(), edges);
   const Partition1D part(g.num_vertices(), 4);
   const DistGraph d = DistGraph::build(g, part);
-  for (const auto& lg : d.locals) {
-    for (std::uint64_t lv = 0; lv < lg.owned(); ++lv) {
-      const auto mine = lg.bu_neighbors(lv);
-      const auto ref = g.neighbors(static_cast<Vertex>(lg.vbegin + lv));
-      ASSERT_EQ(mine.size(), ref.size());
-      EXPECT_TRUE(std::equal(mine.begin(), mine.end(), ref.begin()));
-    }
-  }
+  expect_hub_first(d, csr_rows(g), degree_classes(g));
+  for (const auto& lg : d.locals)
+    EXPECT_EQ(lg.bu_offsets.back(),
+              g.offsets()[lg.vend] - g.offsets()[lg.vbegin]);
 }
 
 // --- reference BFS + validation -------------------------------------------

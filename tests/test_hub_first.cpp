@@ -1,8 +1,10 @@
-// Hub-first rows (csr.hpp) change which parent a bottom-up search finds
-// first, never which vertices a level discovers. So a traversal over
+// Hub-first rows (dist_graph.hpp) change which parent a bottom-up search
+// finds first, never which vertices a level discovers. So a traversal over
 // hub-first slices and one over the same slices with every bottom-up row
-// put back in generation order must agree on levels, directions, frontier
+// put back in its CSR order must agree on levels, directions, frontier
 // sizes, codec decisions and bytes; only the bottom-up probes may differ.
+// The same holds on a pinned epoch view of the dynamic layer, whose bases
+// and merged rows are ranked too (DESIGN.md §14).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +15,12 @@
 #include "bfs/config.hpp"
 #include "bfs/hybrid.hpp"
 #include "engine/msbfs.hpp"
+#include "graph/dynamic/ingest.hpp"
+#include "graph/dynamic/snapshot.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "harness/graph500.hpp"
+#include "runtime/cluster.hpp"
 
 namespace numabfs {
 namespace {
@@ -23,26 +28,23 @@ namespace {
 constexpr int kNodes = 2;
 constexpr int kPpn = 4;
 
-/// `dg` with every bottom-up row overwritten by its generation-order row:
-/// a plain scatter of the edge list the bundle was built from.
-graph::DistGraph with_generation_rows(const graph::DistGraph& dg,
-                                      const harness::GraphBundle& b) {
-  std::vector<std::vector<graph::Vertex>> rows(dg.n);
-  for (const graph::Edge& e : graph::rmat_edges(b.params)) {
-    if (e.u == e.v) continue;
-    rows[e.u].push_back(e.v);
-    rows[e.v].push_back(e.u);
-  }
-  graph::DistGraph out = dg;
-  for (graph::LocalGraph& lg : out.locals)
+/// Overwrite every bottom-up row that `dg` stores with the same row of
+/// `g`: the same entries, in the CSR's order. A merged view stores only
+/// its dirty rows; its clean rows are its base slices'.
+void put_csr_rows(graph::DistGraph& dg, const graph::Csr& g) {
+  for (graph::LocalGraph& lg : dg.locals)
     for (std::uint64_t lv = 0; lv < lg.owned(); ++lv) {
-      const auto& row = rows[lg.vbegin + lv];
-      EXPECT_EQ(row.size(), lg.degree(lv));
-      std::copy(row.begin(), row.end(),
-                lg.bu_adj.begin() +
-                    static_cast<std::ptrdiff_t>(lg.bu_offsets[lv]));
+      const auto row = g.neighbors(static_cast<graph::Vertex>(lg.vbegin + lv));
+      ASSERT_EQ(row.size(), lg.degree(lv));
+      if (lg.base == nullptr)
+        std::copy(row.begin(), row.end(),
+                  lg.bu_adj.begin() +
+                      static_cast<std::ptrdiff_t>(lg.bu_offsets[lv]));
+      else if (lg.is_dirty(lv))
+        std::copy(row.begin(), row.end(),
+                  lg.patch_adj.begin() + static_cast<std::ptrdiff_t>(
+                                             lg.patch_offsets[lg.patch_row(lv)]));
     }
-  return out;
 }
 
 struct Probes {
@@ -57,7 +59,8 @@ TEST(HubFirst, OnlyBottomUpProbesMove) {
   opt.ppn = kPpn;
   harness::Experiment e(b, opt);
   const graph::DistGraph& hub = e.dist();
-  const graph::DistGraph gen = with_generation_rows(hub, b);
+  graph::DistGraph gen = hub;  // the bundle's CSR is in generation order
+  put_csr_rows(gen, b.csr);
   ASSERT_NE(hub.locals[0].bu_adj, gen.locals[0].bu_adj);
 
   // The 1-D hybrid BFS, codec gated, from every root.
@@ -138,6 +141,94 @@ TEST(HubFirst, OnlyBottomUpProbesMove) {
   EXPECT_EQ(hc.bytes_raw_equiv, gc.bytes_raw_equiv);
   EXPECT_LT(hub_wave.edges, gen_wave.edges);
   EXPECT_LT(hub_wave.inqueue, gen_wave.inqueue);
+}
+
+TEST(HubFirst, MergedViewOnlyMovesBottomUpProbes) {
+  // A scale-12 canonical base, three sealed epochs of ingest, one pinned
+  // view: its clean rows are the ranked base slices', its dirty rows merged
+  // and ranked at the pin.
+  graph::RmatParams p;
+  p.scale = 12;
+  p.edgefactor = 16;
+  rt::Cluster c(sim::Topology::xeon_x7550_cluster(kNodes), sim::CostParams{},
+                kPpn);
+  dyn::SnapshotManager mgr(
+      c,
+      graph::Csr::from_edges(p.num_vertices(), graph::rmat_edges(p),
+                             graph::EdgePolicy::sorted_dedup),
+      graph::Partition1D(p.num_vertices(), c.nranks()));
+  dyn::IngestConfig ic;
+  ic.base = p;
+  ic.seed = 11;
+  dyn::IngestGenerator ingest(ic);
+  for (int e = 0; e < 3; ++e) mgr.ingest(ingest.next_batch(1000));
+  const auto snap = mgr.pin(mgr.epoch());
+  ASSERT_GT(snap->patched_rows, 0u);
+  const graph::DistGraph& hub = snap->dg();
+  const graph::Csr at_e = mgr.rebuild_csr(snap->epoch);
+
+  // The same view with every row ascending: copies of the base slices and
+  // of the overlay, the overlay re-pointed at the copied base.
+  graph::DistGraph asc_base = snap->base->dg;
+  put_csr_rows(asc_base, snap->base->csr);
+  graph::DistGraph asc = hub;
+  for (std::size_t r = 0; r < asc.locals.size(); ++r)
+    asc.locals[r].base = &asc_base.locals[r];
+  put_csr_rows(asc, at_e);
+  bool moved = false;
+  for (std::size_t r = 0; r < asc.locals.size(); ++r)
+    moved = moved || hub.locals[r].patch_adj != asc.locals[r].patch_adj;
+  ASSERT_TRUE(moved);
+
+  // One wave of 32 sources spread over the live vertices.
+  std::vector<engine::WaveQuery> qs;
+  for (graph::Vertex v = 0; v < at_e.num_vertices() && qs.size() < 32;
+       v += 97)
+    if (at_e.degree(v) > 0)
+      qs.push_back({engine::QueryKind::full_distances, v, 0, 0});
+  engine::WaveOptions wo;
+  wo.epoch = snap->epoch;
+  const auto wave = [&](const graph::DistGraph& dg,
+                        std::vector<std::vector<engine::Dist>>& dist) {
+    engine::WaveState ws(dg, bfs::share_all(), kNodes, kPpn);
+    engine::WaveResult r = engine::run_wave(c, dg, ws, qs, wo);
+    for (std::size_t l = 0; l < qs.size(); ++l) {
+      const int lane = static_cast<int>(l);
+      dist.push_back(engine::gather_lane_distances(dg, ws, lane));
+      const auto val = graph::validate_bfs_tree(
+          at_e, qs[l].source, engine::gather_lane_parents(dg, ws, lane));
+      EXPECT_TRUE(val.ok) << "lane " << l << ": " << val.error;
+    }
+    return r;
+  };
+  std::vector<std::vector<engine::Dist>> hub_dist, asc_dist;
+  const engine::WaveResult h = wave(hub, hub_dist);
+  const engine::WaveResult a = wave(asc, asc_dist);
+  EXPECT_EQ(hub_dist, asc_dist);
+  EXPECT_EQ(h.levels, a.levels);
+  EXPECT_EQ(h.td_levels, a.td_levels);
+  EXPECT_GT(h.bu_levels, 0);
+  EXPECT_EQ(h.bu_levels, a.bu_levels);
+  ASSERT_EQ(h.lanes.size(), a.lanes.size());
+  for (std::size_t l = 0; l < h.lanes.size(); ++l) {
+    EXPECT_EQ(h.lanes[l].complete_level, a.lanes[l].complete_level);
+    EXPECT_EQ(h.lanes[l].visited, a.lanes[l].visited);
+  }
+  const sim::Counters& hc = h.profile_avg.counters();
+  const sim::Counters& ac = a.profile_avg.counters();
+  EXPECT_EQ(hc.bytes_intra_node, ac.bytes_intra_node);
+  EXPECT_EQ(hc.bytes_inter_node, ac.bytes_inter_node);
+  EXPECT_EQ(hc.bytes_raw_equiv, ac.bytes_raw_equiv);
+  EXPECT_EQ(hc.frontier_hits, ac.frontier_hits);
+  EXPECT_EQ(hc.queue_writes, ac.queue_writes);
+  EXPECT_EQ(hc.vertices_visited, ac.vertices_visited);
+  // A dirty row is read once per search whatever its order.
+  EXPECT_GT(hc.delta_probes, 0u);
+  EXPECT_EQ(hc.delta_probes, ac.delta_probes);
+  // The sparse kernel scans whole top-down groups, so the difference is
+  // the dense kernel's: it stops its searches sooner.
+  EXPECT_LT(hc.edges_scanned, ac.edges_scanned);
+  EXPECT_LT(hc.inqueue_probes, ac.inqueue_probes);
 }
 
 }  // namespace
